@@ -1,9 +1,11 @@
 """Circuit intermediate representation, execution, and basis measurement.
 
-Execution starts from |0...0> and folds gate applications in program order.
-Measurement uses the Philox counter-based generator (platform-independent)
-with inverse-CDF sampling over the cumulative probability sequence, so
-identical (inputs, seed) always reproduce identical outcomes.
+Execution starts from |0...0> and folds the gate kernel over one tensor in
+program order; targets are checked when the `Circuit` is built and the state
+is validated once, on return. Measurement uses the Philox counter-based
+generator (platform-independent) with inverse-CDF sampling over the
+cumulative probability sequence, so identical (inputs, seed) always
+reproduce identical outcomes.
 """
 
 from __future__ import annotations
@@ -20,21 +22,23 @@ from .state import StateVector, make_basis_state, probabilities
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """One gate application: mnemonic, qubit indices, optional angle."""
+    """One gate application: mnemonic, qubit indices, and for a rotation
+    either a literal angle or, in an ansatz template, parameter slot `param`."""
 
     gate_name: str
     targets: tuple[int, ...]
     angle: float | None = None
+    param: int | None = None
 
     def __post_init__(self):
         name = self.gate_name.upper()
         object.__setattr__(self, "gate_name", name)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         if name in gates.ROTATION_GATES:
-            if self.angle is None:
-                raise NonFiniteAngle(f"{name} op requires an angle")
-        elif self.angle is not None:
-            raise NonFiniteAngle(f"{name} op does not take an angle")
+            if (self.angle is None) == (self.param is None):
+                raise NonFiniteAngle(f"{name} op needs exactly one of angle or param slot")
+        elif self.angle is not None or self.param is not None:
+            raise NonFiniteAngle(f"{name} op takes neither angle nor param slot")
 
     def to_gate(self) -> gates.GateMatrix:
         return gates.gate_from_name(self.gate_name, self.angle)
@@ -57,6 +61,8 @@ class Circuit:
             if arity is None:
                 raise QamlError(f"unknown gate {op.gate_name!r}")
             gates._check_targets(op.targets, arity, self.n_qubits)
+            if op.param is not None:
+                raise NonFiniteAngle(f"{op.gate_name} op has unbound parameter slot p{op.param}")
         object.__setattr__(self, "ops", ops)
 
 
@@ -79,31 +85,36 @@ class Histogram:
 
 def execute(circuit: Circuit) -> StateVector:
     """Run the circuit from |0...0> and return the final state."""
-    state = make_basis_state(circuit.n_qubits, "0" * circuit.n_qubits)
+    n = circuit.n_qubits
+    tensor = make_basis_state(n, "0" * n).amplitudes.reshape((2,) * n)
     for index, op in enumerate(circuit.ops):
         try:
-            state = gates.apply_gate(state, op.to_gate(), op.targets)
+            matrix = gates.op_matrix(op.gate_name, op.angle)
         except QamlError as exc:
             exc.op_index = index
             exc.args = (f"op {index} ({op.gate_name}): {exc}",)
             raise
-    return state
+        tensor = gates.apply_gate_tensor(tensor, matrix, op.targets)
+    return StateVector(n, tensor.reshape(-1))
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _draw_indices(state: StateVector, count: int, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(probabilities(state))
-    cdf[-1] = 1.0
-    u = rng.random(count)
-    return np.searchsorted(cdf, u, side="right")
+def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw of `count` outcome indices from one probability row.
+
+    The CDF is divided by its total, so an outcome of probability zero is
+    never drawn, even when the row sums to slightly less than 1."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng.random(count), side="right")
 
 
 def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:
     """Sample one basis outcome and collapse; deterministic per (state, seed)."""
-    index = int(_draw_indices(state, 1, _rng(seed))[0])
+    index = int(_draw_indices(probabilities(state), 1, _rng(seed))[0])
     bits = state.bitstring(index)
     return bits, make_basis_state(state.n_qubits, bits)
 
@@ -112,7 +123,7 @@ def sample_state(state: StateVector, shots: int, seed: int) -> Histogram:
     """Draw `shots` independent Born-rule samples from a fixed state."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    indices = _draw_indices(state, shots, _rng(seed))
+    indices = _draw_indices(probabilities(state), shots, _rng(seed))
     counts = np.bincount(indices, minlength=state.dim)
     result = {
         state.bitstring(i): int(c) for i, c in enumerate(counts) if c > 0

@@ -1,7 +1,9 @@
 """Gate matrices and their application to state vectors.
 
-Single- and two-qubit unitaries are applied with strided tensor kernels in
-O(2^n) time; the full 2^n x 2^n operator is only ever materialized by the
+`apply_gate_tensor` is the one kernel: it applies a 2x2 or 4x4 unitary to a
+rank-n qubit tensor in O(2^n) time, and `apply_gate`, `circuit.execute` and
+the batched ansatz pass in `hybrid` all call it with matrices from
+`op_matrix`. The full 2^n x 2^n operator is only ever materialized by the
 small-instance test oracle `dense_unitary`.
 """
 
@@ -25,7 +27,6 @@ from .state import StateVector
 UNITARITY_ATOL = 1e-12
 
 ROTATION_GATES = ("RX", "RY", "RZ")
-FIXED_GATES = ("H", "X", "Y", "Z", "CX")
 GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "RX": 1, "RY": 1, "RZ": 1, "CX": 2}
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -55,20 +56,37 @@ class GateMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
+def _constant(rows) -> np.ndarray:
+    mat = np.array(rows, dtype=np.complex128)
+    mat.setflags(write=False)
+    return mat
+
+
+# Shared read-only matrices of the fixed gates. CX maps
+# |control,target> -> |control, target XOR control>.
+FIXED_MATRICES = {
+    "H": _constant([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
+    "X": _constant([[0, 1], [1, 0]]),
+    "Y": _constant([[0, -1j], [1j, 0]]),
+    "Z": _constant([[1, 0], [0, -1]]),
+    "CX": _constant([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+
+
 def gate_h() -> GateMatrix:
-    return GateMatrix("H", 1, np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV)
+    return gate_from_name("H")
 
 
 def gate_x() -> GateMatrix:
-    return GateMatrix("X", 1, np.array([[0, 1], [1, 0]], dtype=np.complex128))
+    return gate_from_name("X")
 
 
 def gate_y() -> GateMatrix:
-    return GateMatrix("Y", 1, np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
+    return gate_from_name("Y")
 
 
 def gate_z() -> GateMatrix:
-    return GateMatrix("Z", 1, np.array([[1, 0], [0, -1]], dtype=np.complex128))
+    return gate_from_name("Z")
 
 
 def _check_angle(theta: float) -> float:
@@ -93,42 +111,40 @@ def rotation_matrix(name: str, theta: float) -> np.ndarray:
 
 
 def gate_rx(theta: float) -> GateMatrix:
-    theta = _check_angle(theta)
-    return GateMatrix("RX", 1, rotation_matrix("RX", theta), angle=theta)
+    return gate_from_name("RX", theta)
 
 
 def gate_ry(theta: float) -> GateMatrix:
-    theta = _check_angle(theta)
-    return GateMatrix("RY", 1, rotation_matrix("RY", theta), angle=theta)
+    return gate_from_name("RY", theta)
 
 
 def gate_rz(theta: float) -> GateMatrix:
-    theta = _check_angle(theta)
-    return GateMatrix("RZ", 1, rotation_matrix("RZ", theta), angle=theta)
+    return gate_from_name("RZ", theta)
 
 
 def gate_cx() -> GateMatrix:
-    # |control,target> -> |control, target XOR control>
-    mat = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=np.complex128,
-    )
-    return GateMatrix("CX", 2, mat)
+    return gate_from_name("CX")
+
+
+def op_matrix(name: str, angle: float | None = None) -> np.ndarray:
+    """Raw matrix of an upper-case mnemonic: the shared constant of a fixed
+    gate, or a fresh rotation matrix after the finite-angle check."""
+    if name in ROTATION_GATES:
+        if angle is None:
+            raise NonFiniteAngle(f"rotation gate {name} requires an angle")
+        return rotation_matrix(name, _check_angle(angle))
+    if angle is not None:
+        raise UnknownGate(f"gate {name} does not take an angle")
+    if name not in FIXED_MATRICES:
+        raise UnknownGate(f"unknown gate {name!r}")
+    return FIXED_MATRICES[name]
 
 
 def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     """Build a gate from its mnemonic, with the angle for rotation gates."""
     name = name.upper()
-    if name in ROTATION_GATES:
-        if angle is None:
-            raise NonFiniteAngle(f"rotation gate {name} requires an angle")
-        return {"RX": gate_rx, "RY": gate_ry, "RZ": gate_rz}[name](angle)
-    if angle is not None:
-        raise UnknownGate(f"gate {name} does not take an angle")
-    builders = {"H": gate_h, "X": gate_x, "Y": gate_y, "Z": gate_z, "CX": gate_cx}
-    if name not in builders:
-        raise UnknownGate(f"unknown gate {name!r}")
-    return builders[name]()
+    matrix = op_matrix(name, angle)
+    return GateMatrix(name, GATE_ARITY[name], matrix, None if angle is None else float(angle))
 
 
 def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
@@ -146,8 +162,10 @@ def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
 def apply_gate_tensor(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
     """Contract a small unitary into the given axes of a rank-n qubit tensor.
 
-    `tensor` has one length-2 axis per qubit (plus optionally a leading batch
-    axis); `axes` names the axes the gate acts on, control first for CX.
+    The only gate kernel. `tensor` has one length-2 axis per qubit (plus
+    optionally a leading batch axis); `axes` names the axes the gate acts on,
+    control first for CX. Axes are not checked here: callers pass targets
+    already checked against the register.
     """
     arity = len(axes)
     gate_t = matrix.reshape((2,) * (2 * arity))

@@ -6,18 +6,23 @@ The quantum pass per sample is: optional Hadamard layer, data encoding, the
 bound ansatz. The classical pass reads a single-qubit Z expectation, scores
 it with mean squared error against the label, and updates the ansatz angles
 by gradient descent.
+
+Template ops are `CircuitOp`s whose rotations may name a parameter slot
+(`AnsatzOp` is another name for `CircuitOp`). Angle encoding runs through
+`circuit.execute`; the ansatz pass advances every sample together through the
+same kernel, `gates.apply_gate_tensor`, on one batched tensor.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, CircuitOp, Histogram, _rng, sample_state
+from .circuit import Circuit, CircuitOp, Histogram, _draw_indices, _rng, execute, sample_state
 from .encoding import EncodingSpec, encode_amplitude, encode_angle
 from .errors import (
     ConfigError,
@@ -34,25 +39,8 @@ SHIFT = math.pi / 2.0
 GRADIENT_METHODS = ("parameter_shift", "finite_difference")
 
 
-@dataclass(frozen=True)
-class AnsatzOp:
-    """Template op: either a fixed gate, a literal-angle rotation, or a
-    rotation whose angle is parameter slot `param`."""
-
-    gate_name: str
-    targets: tuple[int, ...]
-    angle: float | None = None
-    param: int | None = None
-
-    def __post_init__(self):
-        name = self.gate_name.upper()
-        object.__setattr__(self, "gate_name", name)
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if name in gates.ROTATION_GATES:
-            if (self.angle is None) == (self.param is None):
-                raise ValueError(f"{name} op needs exactly one of angle or param slot")
-        elif self.angle is not None or self.param is not None:
-            raise ValueError(f"{name} op takes neither angle nor param slot")
+# Template ops are circuit ops with an optional parameter slot.
+AnsatzOp = CircuitOp
 
 
 @dataclass(frozen=True)
@@ -60,7 +48,7 @@ class AnsatzTemplate:
     """A circuit skeleton with m symbolic rotation parameters p0..p(m-1)."""
 
     n_qubits: int
-    ops: tuple[AnsatzOp, ...]
+    ops: tuple[CircuitOp, ...]
     n_params: int
 
     def __post_init__(self):
@@ -103,11 +91,11 @@ def _check_params(template: AnsatzTemplate, params) -> np.ndarray:
 def bind(template: AnsatzTemplate, params) -> Circuit:
     """Substitute concrete angles into every parameter slot."""
     params = _check_params(template, params)
-    ops = []
-    for op in template.ops:
-        angle = op.angle if op.param is None else float(params[op.param])
-        ops.append(CircuitOp(op.gate_name, op.targets, angle))
-    return Circuit(template.n_qubits, tuple(ops))
+    ops = tuple(
+        op if op.param is None else replace(op, angle=float(params[op.param]), param=None)
+        for op in template.ops
+    )
+    return Circuit(template.n_qubits, ops)
 
 
 def diffusion(state: StateVector) -> StateVector:
@@ -170,14 +158,10 @@ def _bound_angles(template: AnsatzTemplate, params: np.ndarray) -> list:
 
 
 def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
-    out = tensor
     for op, angle in zip(template.ops, angles):
-        if op.gate_name in gates.ROTATION_GATES:
-            matrix = gates.rotation_matrix(op.gate_name, angle)
-        else:
-            matrix = gates.gate_from_name(op.gate_name).matrix
-        out = gates.apply_gate_tensor(out, matrix, [1 + q for q in op.targets])
-    return out
+        matrix = gates.op_matrix(op.gate_name, angle)
+        tensor = gates.apply_gate_tensor(tensor, matrix, [1 + q for q in op.targets])
+    return tensor
 
 
 def _batch_expectations(
@@ -193,13 +177,7 @@ def _batch_expectations(
     probs = flat.real**2 + flat.imag**2
     if shots == 0:
         return probs @ signs
-    cdf = np.cumsum(probs, axis=1)
-    cdf[:, -1] = 1.0
-    estimates = np.empty(probs.shape[0])
-    for row in range(probs.shape[0]):
-        idx = np.searchsorted(cdf[row], rng.random(shots), side="right")
-        estimates[row] = signs[idx].mean()
-    return estimates
+    return np.array([signs[_draw_indices(row, shots, rng)].mean() for row in probs])
 
 
 def _loss_and_grad_factors(expectations: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -247,19 +225,26 @@ def gradient(
 
     tensor = _batch_tensor(loss.inputs)
     signs = _z_signs(template.n_qubits, loss.qubit)
+    return _shift_gradient(
+        template, params, loss.labels,
+        lambda angles: _batch_expectations(tensor, template, angles, signs),
+    )
+
+
+def _shift_gradient(template: AnsatzTemplate, params, labels, evaluate) -> np.ndarray:
+    """Parameter-shift gradient from `evaluate(angles)`, which returns one
+    expectation per sample: one unshifted pass for the loss factors, then a
+    +pi/2 and a -pi/2 pass per parameterized op, in template order."""
     angles = _bound_angles(template, params)
-    exps = _batch_expectations(tensor, template, angles, signs)
-    _, factors = _loss_and_grad_factors(exps, loss.labels)
-    d_exps = np.zeros((template.n_params, exps.size))
+    _, factors = _loss_and_grad_factors(evaluate(angles), labels)
+    d_exps = np.zeros((template.n_params, factors.size))
     for op_idx, op in enumerate(template.ops):
         if op.param is None:
             continue
         for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
             shifted = list(angles)
-            shifted[op_idx] = shifted[op_idx] + delta
-            d_exps[op.param] += sign * _batch_expectations(
-                tensor, template, shifted, signs
-            )
+            shifted[op_idx] += delta
+            d_exps[op.param] += sign * evaluate(shifted)
     return d_exps @ factors
 
 
@@ -344,14 +329,10 @@ def _encode_sample(
     """Encoded input state for one sample and the op count it took."""
     if encoding.method == "angle":
         circ = encode_angle(features, encoding.axis)
-        n = circ.n_qubits
+        ops = circ.ops
         if use_hadamard:
-            state = _uniform_state(n)
-        else:
-            state = make_basis_state(n, "0" * n)
-        for op in circ.ops:
-            state = gates.apply_gate(state, op.to_gate(), op.targets)
-        return state, len(circ.ops) + (n if use_hadamard else 0)
+            ops = hadamard_layer(circ.n_qubits).ops + ops
+        return execute(Circuit(circ.n_qubits, ops)), len(ops)
     if use_hadamard:
         raise ConfigError(
             f"hadamard_layer is incompatible with state-preparing encoding {encoding.method!r}"
@@ -367,11 +348,6 @@ def _encode_sample(
             )
         bits.append("1" if v else "0")
     return make_basis_state(len(bits), "".join(bits)), 0
-
-
-def _uniform_state(n_qubits: int) -> StateVector:
-    amps = np.full(1 << n_qubits, 2.0 ** (-n_qubits / 2.0), dtype=np.complex128)
-    return StateVector(n_qubits, amps)
 
 
 def train(
@@ -415,25 +391,24 @@ def train(
         params = _check_params(template, initial_params)
 
     rng = _rng(config.seed) if config.shots > 0 else None
+
+    def evaluate(angles):
+        return _batch_expectations(tensor, template, angles, signs, config.shots, rng)
+
     trace: list[float] = []
     converged = False
     prev = None
     for _ in range(config.max_iterations):
-        exps = _batch_expectations(
-            tensor, template, _bound_angles(template, params), signs, config.shots, rng
-        )
-        value, _ = _loss_and_grad_factors(exps, labels_arr)
+        value, _ = _loss_and_grad_factors(evaluate(_bound_angles(template, params)), labels_arr)
         trace.append(value)
         if prev is not None and abs(value - prev) < config.convergence_tol:
             converged = True
             break
         prev = value
-        if config.shots > 0:
-            grad = _sampled_gradient(tensor, template, params, labels_arr, signs, config, rng)
-        elif config.gradient_method == "finite_difference":
+        if config.shots == 0 and config.gradient_method == "finite_difference":
             grad = gradient(template, params, loss, "finite_difference", config.fd_step)
         else:
-            grad = gradient(template, params, loss, "parameter_shift")
+            grad = _shift_gradient(template, params, labels_arr, evaluate)
         params = params - config.learning_rate * grad
 
     final_histogram = None
@@ -454,19 +429,3 @@ def train(
         circuit_depth=encode_depth + len(template.ops),
     )
 
-
-def _sampled_gradient(tensor, template, params, labels_arr, signs, config, rng):
-    angles = _bound_angles(template, params)
-    exps = _batch_expectations(tensor, template, angles, signs, config.shots, rng)
-    _, factors = _loss_and_grad_factors(exps, labels_arr)
-    d_exps = np.zeros((template.n_params, exps.size))
-    for op_idx, op in enumerate(template.ops):
-        if op.param is None:
-            continue
-        for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
-            shifted = list(angles)
-            shifted[op_idx] = shifted[op_idx] + delta
-            d_exps[op.param] += sign * _batch_expectations(
-                tensor, template, shifted, signs, config.shots, rng
-            )
-    return d_exps @ factors

@@ -18,11 +18,20 @@ from qaml import (
     sample,
     sample_state,
 )
+from qaml.circuit import _draw_indices
 from qaml.errors import NonFiniteAngle, TargetOutOfRange
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 BELL = Circuit(2, (CircuitOp("H", (0,)), CircuitOp("CX", (0, 1))))
+
+# Prefix that leaves every one of 5 qubits in a distinct complex superposition,
+# so no gate applied after it acts as the identity on the state.
+SPREAD_5 = tuple(
+    op
+    for q in range(5)
+    for op in (CircuitOp("RY", (q,), 0.4 + 0.5 * q), CircuitOp("RZ", (q,), 1.3 - 0.2 * q))
+)
 
 
 def amplitude_encoded_example() -> StateVector:
@@ -42,6 +51,18 @@ class TestCircuitConstruction:
     def test_fixed_gate_rejects_angle(self):
         with pytest.raises(NonFiniteAngle):
             CircuitOp("H", (0,), 0.5)
+
+    def test_rotation_rejects_angle_and_slot(self):
+        with pytest.raises(NonFiniteAngle):
+            CircuitOp("RY", (0,), 0.5, param=0)
+
+    def test_fixed_gate_rejects_slot(self):
+        with pytest.raises(NonFiniteAngle):
+            CircuitOp("X", (0,), param=0)
+
+    def test_rejects_unbound_param_slot(self):
+        with pytest.raises(NonFiniteAngle, match="unbound parameter slot p3"):
+            Circuit(2, (CircuitOp("H", (0,)), CircuitOp("RZ", (1,), param=3)))
 
 
 class TestExecute:
@@ -79,6 +100,27 @@ class TestExecute:
             circ = Circuit(n, tuple(ops))
             assert np.abs(execute(circ).amplitudes - dense_execute(circ)).max() < 1e-10
 
+    @pytest.mark.parametrize("qubit", [0, 2, 4])
+    @pytest.mark.parametrize("name", ["H", "X", "Y", "Z", "RX", "RY", "RZ"])
+    def test_each_gate_at_each_position_matches_dense_oracle(self, name, qubit):
+        angle = 0.9 if name.startswith("R") else None
+        circ = Circuit(5, SPREAD_5 + (CircuitOp(name, (qubit,), angle),))
+        assert np.abs(execute(circ).amplitudes - dense_execute(circ)).max() < 1e-12
+
+    @pytest.mark.parametrize("control, target", [(0, 2), (2, 0), (0, 4), (4, 0), (2, 4), (4, 2)])
+    def test_cx_in_both_directions_matches_dense_oracle(self, control, target):
+        circ = Circuit(5, SPREAD_5 + (CircuitOp("CX", (control, target)),))
+        assert np.abs(execute(circ).amplitudes - dense_execute(circ)).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_nan_angle_names_its_op(self, k):
+        ops = [CircuitOp("H", (0,)), CircuitOp("Z", (1,)), CircuitOp("RY", (1,), 0.3)]
+        ops[k] = CircuitOp("RX", (0,), float("nan"))
+        with pytest.raises(NonFiniteAngle) as info:
+            execute(Circuit(2, tuple(ops)))
+        assert info.value.op_index == k
+        assert str(info.value).startswith(f"op {k} (RX): ")
+
 
 class TestMeasureOnce:
     def test_deterministic_state(self):
@@ -106,6 +148,17 @@ class TestMeasureOnce:
         hist = sample_state(state, 100_000, seed=11)
         for key in ("0", "1"):
             assert 0.49 <= hist.counts[key] / 100_000 <= 0.51
+
+    def test_zero_probability_tail_is_never_drawn(self):
+        # the row sums to 1 - 5e-10, within NORM_ATOL, and u is just below 1
+        class AlmostOne:
+            def random(self, count):
+                return np.full(count, 1.0 - 1e-12)
+
+        a = math.sqrt(0.3)
+        b = math.sqrt(0.7 - 5e-10)
+        state = StateVector(2, [a, b, 0.0, 0.0])
+        assert _draw_indices(probabilities(state), 4, AlmostOne()).tolist() == [1, 1, 1, 1]
 
     def test_amplitude_encoded_frequencies(self):
         # P("01") = 2.7^2 / 10.19 per the normalization-factor oracle
