@@ -5,7 +5,9 @@ program order; targets are checked when the `Circuit` is built and the state
 is validated once, on return. Measurement uses the Philox counter-based
 generator (platform-independent) with inverse-CDF sampling over the
 cumulative probability sequence, so identical (inputs, seed) always
-reproduce identical outcomes.
+reproduce identical outcomes. Every sampler builds that sequence with
+`_cdf`; `sample_state` counts its sorted draws per outcome instead of
+mapping each draw to an outcome, which gives the same histogram.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import gates
 from .errors import NonFiniteAngle, QamlError
-from .state import StateVector, make_basis_state, probabilities
+from .state import StateVector, bitstrings, make_basis_state, probabilities
 
 
 @dataclass(frozen=True)
@@ -102,14 +104,20 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw of `count` outcome indices from one probability row.
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities along the last axis, divided by their total.
 
-    The CDF is divided by its total, so an outcome of probability zero is
-    never drawn, even when the row sums to slightly less than 1."""
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return np.searchsorted(cdf, rng.random(count), side="right")
+    Dividing by the total (not setting the last entry to 1) keeps every
+    zero-probability outcome's CDF step empty, so it is never drawn, even
+    when a row sums to slightly less than 1."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw of `count` outcome indices from one probability row."""
+    return np.searchsorted(_cdf(probs), rng.random(count), side="right")
 
 
 def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:
@@ -120,15 +128,20 @@ def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:
 
 
 def sample_state(state: StateVector, shots: int, seed: int) -> Histogram:
-    """Draw `shots` independent Born-rule samples from a fixed state."""
+    """Draw `shots` independent Born-rule samples from a fixed state.
+
+    The draws are those of `_draw_indices`; they are counted per outcome by
+    sorting them and locating each CDF entry among them, which gives the
+    same histogram without mapping every draw to its outcome."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    indices = _draw_indices(probabilities(state), shots, _rng(seed))
-    counts = np.bincount(indices, minlength=state.dim)
-    result = {
-        state.bitstring(i): int(c) for i, c in enumerate(counts) if c > 0
-    }
-    return Histogram(shots, result)
+    draws = _rng(seed).random(shots)
+    draws.sort()
+    # draws below cdf[k] are exactly those whose outcome is <= k
+    counts = np.diff(np.searchsorted(draws, _cdf(probabilities(state)), side="left"), prepend=0)
+    del draws  # free the draw buffer before the labels are built
+    seen = np.flatnonzero(counts)
+    return Histogram(shots, dict(zip(bitstrings(state.n_qubits, seen), counts[seen].tolist())))
 
 
 def sample(circuit: Circuit, shots: int, seed: int) -> Histogram:

@@ -19,7 +19,7 @@ from . import encoding as encoding_mod
 from . import hybrid
 from .dsl import SourceProgram, parse, to_dsl
 from .errors import ConfigError, ParseError, QamlError
-from .state import StateVector
+from .state import StateVector, bitstrings
 
 EXIT_PARSE = 1
 EXIT_SIM = 2
@@ -28,11 +28,26 @@ EXIT_CONFIG = 4
 EXIT_DATASET = 5
 
 
+def _config_exit(message: str):
+    print(f"config error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("QAML_SEED")
-    return int(env) if env else 0
+    """The --seed value, else QAML_SEED, else 0; a 64-bit Philox key."""
+    source = "--seed"
+    if seed is None:
+        env = os.environ.get("QAML_SEED")
+        if not env:
+            return 0
+        source = "QAML_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            _config_exit(f"QAML_SEED must be an integer, got {env!r}")
+    if not 0 <= seed < 2**64:
+        _config_exit(f"{source} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _load_program(path: str) -> SourceProgram:
@@ -52,26 +67,29 @@ def _parse_file(path: str):
 
 
 def _state_entries(state: StateVector, threshold: float) -> list[dict]:
-    entries = []
-    for i, amp in enumerate(state.amplitudes):
-        prob = amp.real**2 + amp.imag**2
-        if prob < threshold:
-            continue
-        entries.append(
-            {
-                "basis": state.bitstring(i),
-                "re": float(amp.real),
-                "im": float(amp.imag),
-                "probability": float(prob),
-            }
+    """One entry per basis state whose probability is not below `threshold`."""
+    amps = state.amplitudes
+    probs = amps.real**2 + amps.imag**2
+    # "not below" rather than ">=", so a NaN threshold keeps every entry
+    kept = np.flatnonzero(~(probs < threshold))
+    return [
+        {"basis": basis, "re": re, "im": im, "probability": prob}
+        for basis, re, im, prob in zip(
+            bitstrings(state.n_qubits, kept),
+            amps.real[kept].tolist(),
+            amps.imag[kept].tolist(),
+            probs[kept].tolist(),
         )
-    return entries
+    ]
 
 
 def cmd_run(args) -> int:
+    if args.shots < 1:
+        _config_exit(f"--shots must be >= 1, got {args.shots}")
+    seed = _resolve_seed(args.seed)
     circ = _parse_file(args.file)
     try:
-        histogram = circuit_mod.sample(circ, args.shots, _resolve_seed(args.seed))
+        histogram = circuit_mod.sample(circ, args.shots, seed)
     except QamlError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM

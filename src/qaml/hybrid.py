@@ -10,7 +10,10 @@ by gradient descent.
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
 (`AnsatzOp` is another name for `CircuitOp`). Angle encoding runs through
 `circuit.execute`; the ansatz pass advances every sample together through the
-same kernel, `gates.apply_gate_tensor`, on one batched tensor.
+same kernel, `gates.apply_gate_tensor`, on one batched tensor. In shot mode
+the readout takes one block of draws for all samples, the same stream as
+drawing sample by sample, and `train` runs the unshifted ansatz pass once per
+iteration, reading it for the loss and again for the gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, CircuitOp, Histogram, _draw_indices, _rng, execute, sample_state
+from .circuit import Circuit, CircuitOp, Histogram, _cdf, _rng, execute, sample_state
 from .encoding import EncodingSpec, encode_amplitude, encode_angle
 from .errors import (
     ConfigError,
@@ -164,20 +167,30 @@ def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> n
     return tensor
 
 
-def _batch_expectations(
-    tensor: np.ndarray,
-    template: AnsatzTemplate,
-    angles: list,
-    signs: np.ndarray,
-    shots: int = 0,
-    rng=None,
-) -> np.ndarray:
+def _batch_probs(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
+    """Outcome probabilities after the ansatz, one row per sample."""
     out = _run_ansatz(tensor, template, angles)
     flat = out.reshape(out.shape[0], -1)
-    probs = flat.real**2 + flat.imag**2
+    return flat.real**2 + flat.imag**2
+
+
+def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
+    """Z expectation per row: exact when `shots` is 0, else a shot estimate.
+
+    The shot estimate takes one block of `shots` draws per row from `rng`,
+    which equals drawing the rows one after another with `_draw_indices`.
+    A draw u lands at or past outcome b exactly when u >= cdf[b - 1], so
+    counting draws at or past each sign change of `signs` gives the number
+    of -1 outcomes without mapping any draw to its outcome."""
     if shots == 0:
         return probs @ signs
-    return np.array([signs[_draw_indices(row, shots, rng)].mean() for row in probs])
+    draws = rng.random((probs.shape[0], shots))
+    cuts = np.flatnonzero(signs[1:] != signs[:-1])
+    # signs start at +1 and alternate at each cut, so the -1 outcomes are
+    # those past an odd number of cuts
+    past = np.count_nonzero(draws[:, :, None] >= _cdf(probs)[:, None, cuts], axis=1)
+    n_minus = past @ (1 - 2 * (np.arange(cuts.size) % 2))
+    return (shots - 2.0 * n_minus) / shots
 
 
 def _loss_and_grad_factors(expectations: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -192,7 +205,7 @@ def loss_value(template: AnsatzTemplate, params, loss: LossSpec) -> float:
     params = _check_params(template, params)
     tensor = _batch_tensor(loss.inputs)
     signs = _z_signs(template.n_qubits, loss.qubit)
-    exps = _batch_expectations(tensor, template, _bound_angles(template, params), signs)
+    exps = _readout(_batch_probs(tensor, template, _bound_angles(template, params)), signs)
     return _loss_and_grad_factors(exps, loss.labels)[0]
 
 
@@ -225,18 +238,20 @@ def gradient(
 
     tensor = _batch_tensor(loss.inputs)
     signs = _z_signs(template.n_qubits, loss.qubit)
-    return _shift_gradient(
-        template, params, loss.labels,
-        lambda angles: _batch_expectations(tensor, template, angles, signs),
-    )
 
+    def evaluate(angles):
+        return _readout(_batch_probs(tensor, template, angles), signs)
 
-def _shift_gradient(template: AnsatzTemplate, params, labels, evaluate) -> np.ndarray:
-    """Parameter-shift gradient from `evaluate(angles)`, which returns one
-    expectation per sample: one unshifted pass for the loss factors, then a
-    +pi/2 and a -pi/2 pass per parameterized op, in template order."""
     angles = _bound_angles(template, params)
-    _, factors = _loss_and_grad_factors(evaluate(angles), labels)
+    _, factors = _loss_and_grad_factors(evaluate(angles), loss.labels)
+    return _shift_gradient(template, angles, factors, evaluate)
+
+
+def _shift_gradient(template: AnsatzTemplate, angles: list, factors, evaluate) -> np.ndarray:
+    """Parameter-shift gradient at the bound `angles`, given the loss factors
+    of the unshifted pass and `evaluate(angles)`, which returns one
+    expectation per sample: a +pi/2 and a -pi/2 pass per parameterized op,
+    in template order."""
     d_exps = np.zeros((template.n_params, factors.size))
     for op_idx, op in enumerate(template.ops):
         if op.param is None:
@@ -264,6 +279,13 @@ class TrainConfig:
     hadamard_layer: bool = False
 
     def __post_init__(self):
+        for name in ("max_iterations", "shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be non-negative")
         if self.max_iterations < 0:
@@ -393,22 +415,31 @@ def train(
     rng = _rng(config.seed) if config.shots > 0 else None
 
     def evaluate(angles):
-        return _batch_expectations(tensor, template, angles, signs, config.shots, rng)
+        return _readout(_batch_probs(tensor, template, angles), signs, config.shots, rng)
 
     trace: list[float] = []
     converged = False
     prev = None
     for _ in range(config.max_iterations):
-        value, _ = _loss_and_grad_factors(evaluate(_bound_angles(template, params)), labels_arr)
+        angles = _bound_angles(template, params)
+        probs = _batch_probs(tensor, template, angles)
+        value, factors = _loss_and_grad_factors(
+            _readout(probs, signs, config.shots, rng), labels_arr
+        )
         trace.append(value)
         if prev is not None and abs(value - prev) < config.convergence_tol:
             converged = True
             break
         prev = value
+        if config.shots > 0:
+            # the gradient's loss factors take fresh draws from the same state
+            _, factors = _loss_and_grad_factors(
+                _readout(probs, signs, config.shots, rng), labels_arr
+            )
         if config.shots == 0 and config.gradient_method == "finite_difference":
             grad = gradient(template, params, loss, "finite_difference", config.fd_step)
         else:
-            grad = _shift_gradient(template, params, labels_arr, evaluate)
+            grad = _shift_gradient(template, angles, factors, evaluate)
         params = params - config.learning_rate * grad
 
     final_histogram = None

@@ -57,6 +57,15 @@ class StateVector:
         return format(index, f"0{self.n_qubits}b")
 
 
+def bitstrings(n_qubits: int, indices: np.ndarray) -> list[str]:
+    """Basis labels for an array of amplitude indices, big-endian."""
+    # one text line per index, split in one call
+    chars = np.full((indices.size, n_qubits + 1), ord("\n"), dtype=np.uint8)
+    for column in range(n_qubits):
+        chars[:, column] = ((indices >> (n_qubits - 1 - column)) & 1) + ord("0")
+    return chars.tobytes().decode("ascii").splitlines()
+
+
 def bitstring_to_index(bits: str) -> int:
     """Map a basis label to its amplitude index (first character = MSB)."""
     if not bits or any(c not in "01" for c in bits):

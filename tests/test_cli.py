@@ -54,6 +54,33 @@ class TestRun:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_4(self, tmp_path, capsys, seed):
+        path = write(tmp_path / "bell.q", BELL)
+        assert main(["run", path, "--seed", seed]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        path = write(tmp_path / "bell.q", BELL)
+        assert main(["run", path, "--shots", "3", "--seed", str(2**64 - 1)]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_seed_env_exits_4(self, tmp_path, capsys, monkeypatch, value):
+        path = write(tmp_path / "bell.q", BELL)
+        monkeypatch.setenv("QAML_SEED", value)
+        assert main(["run", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "QAML_SEED" in err
+
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_non_positive_shots_exit_4(self, tmp_path, capsys, shots):
+        path = write(tmp_path / "bell.q", BELL)
+        assert main(["run", path, "--shots", shots]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 class TestState:
     def test_hadamard_state(self, tmp_path, capsys):
@@ -169,6 +196,16 @@ class TestTrain:
         data = write(tmp_path / "data.csv", "0.0,1\n")
         out = str(tmp_path / "report.json")
         assert main(["train", "--config", config, "--data", data, "--out", out]) == 4
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("seed", 2**64), ("max_iterations", 1.5), ("shots", True)]
+    )
+    def test_bad_integer_config_exits_4(self, tmp_path, capsys, field, value):
+        config = self.config(tmp_path, **{field: value})
+        data = write(tmp_path / "data.csv", "0.0,1\n")
+        out = str(tmp_path / "report.json")
+        assert main(["train", "--config", config, "--data", data, "--out", out]) == 4
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_missing_config_exits_4(self, tmp_path):
         data = write(tmp_path / "data.csv", "0.0,1\n")

@@ -246,6 +246,29 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig.from_json("{not json")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=seed)
+
+    def test_seed_bounds_accepted(self):
+        assert TrainConfig(seed=0).seed == 0
+        assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("field", ["seed", "shots", "max_iterations"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
+
+    def test_fractional_iterations_from_json(self):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json('{"max_iterations": 1.5}')
+
+    def test_numpy_integers_accepted(self):
+        config = TrainConfig(seed=np.uint64(7), shots=np.int64(5), max_iterations=np.int32(2))
+        assert (config.seed, config.shots, config.max_iterations) == (7, 5, 2)
+
 
 class TestTrain:
     def single_sample_task(self):

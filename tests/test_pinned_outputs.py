@@ -2,10 +2,14 @@
 
 Each constant was recorded before the gate engine was unified and must stay
 equal afterwards. Only the Hadamard-layer training trace is compared within
-1e-12: its uniform start state is now built by executing H gates.
+1e-12: its uniform start state is now built by executing H gates. The
+`qaml state` stdout hash was recorded before shot sampling and the state
+output were vectorised.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
@@ -22,6 +26,7 @@ from qaml import (
     sample,
     train,
 )
+from qaml.cli import main
 
 
 def mixed_circuit():
@@ -38,6 +43,16 @@ def mixed_circuit():
     ops.append(CircuitOp("CX", (5, 0)))
     ops.append(CircuitOp("CX", (3, 1)))
     return Circuit(6, tuple(ops))
+
+
+def state_program() -> str:
+    lines = ["qubits 10"]
+    lines += [f"ry {q} {0.2 + 0.31 * q}" for q in range(10)]
+    lines += [f"cx {q} {q + 1}" for q in range(9)]
+    for q in range(10):
+        lines += [f"rx {q} {1.3 - 0.17 * q}", f"rz {q} {0.4 * q - 0.9}"]
+    lines += ["cx 9 0", "h 4"]
+    return "\n".join(lines) + "\n"
 
 
 def training_rows():
@@ -59,6 +74,9 @@ def template():
 
 # sha256 of the complex128 amplitude bytes of execute(mixed_circuit())
 AMPLITUDES_SHA256 = "f94b0edbb90a5ffc8e5794c1b2d087668e2604a7fef1e97297630f7fc463bad7"
+
+# sha256 of the stdout of `qaml state --threshold 1e-4` on state_program()
+STATE_STDOUT_SHA256 = "28f2d5457bce342826bdbe2c206bd5f93d4f120726a119589e2b32826da6baa1"
 
 SAMPLE_JSON = (
     '{"counts": {"000000": 11, "000010": 2, "000100": 82, "000110": 21, "001000": 11, "001010": 5, "001100": 118, "001110": 28, "010000": 37, "010010": 9, "010100": 12, "010110": 2, "011000": 69, "011010": 14, "011100": 33, "011110": 4, "100100": 6, "100101": 1, "100110": 1, "101001": 2, "101100": 3, "101101": 5, "101110": 2, "110000": 2, "110001": 3, "110011": 1, "110100": 1, "111000": 6, "111001": 4, "111010": 1, "111100": 1, "111101": 3}, "shots": 500}'
@@ -93,6 +111,15 @@ def run_train(name: str) -> str:
 def test_execute_amplitudes_are_pinned():
     amps = execute(mixed_circuit()).amplitudes
     assert hashlib.sha256(amps.tobytes()).hexdigest() == AMPLITUDES_SHA256
+
+
+def test_state_stdout_is_pinned(tmp_path):
+    path = tmp_path / "state.q"
+    path.write_text(state_program())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["state", str(path), "--threshold", "1e-4"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STATE_STDOUT_SHA256
 
 
 def test_sample_histogram_is_pinned():
