@@ -1,8 +1,10 @@
 """Circuit intermediate representation, execution, and basis measurement.
 
-Execution starts from |0...0> and folds the gate kernel over one tensor in
-program order; targets are checked when the `Circuit` is built and the state
-is validated once, on return. Measurement uses the Philox counter-based
+Execution starts from |0...0> and applies the gate kernel in program order,
+swapping two state buffers between ops; targets are checked when the
+`Circuit` is built and the state is validated once, on return. Every seed
+passes one check (`_check_seed`), shared with `TrainConfig` and the CLI.
+Measurement uses the Philox counter-based
 generator (platform-independent) with inverse-CDF sampling over the
 cumulative probability sequence, so identical (inputs, seed) always
 reproduce identical outcomes. Every sampler builds that sequence with
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import NonFiniteAngle, QamlError
+from .errors import ConfigError, NonFiniteAngle, QamlError
 from .state import StateVector, bitstrings, make_basis_state, probabilities
 
 
@@ -35,7 +37,7 @@ class CircuitOp:
     def __post_init__(self):
         name = self.gate_name.upper()
         object.__setattr__(self, "gate_name", name)
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(gates._qubit_index(t) for t in self.targets))
         if name in gates.ROTATION_GATES:
             if (self.angle is None) == (self.param is None):
                 raise NonFiniteAngle(f"{name} op needs exactly one of angle or param slot")
@@ -88,7 +90,9 @@ class Histogram:
 def execute(circuit: Circuit) -> StateVector:
     """Run the circuit from |0...0> and return the final state."""
     n = circuit.n_qubits
-    tensor = make_basis_state(n, "0" * n).amplitudes.reshape((2,) * n)
+    src = np.zeros((1 << n, 1), dtype=np.complex128)
+    src[0] = 1.0
+    out = np.empty_like(src)
     for index, op in enumerate(circuit.ops):
         try:
             matrix = gates.op_matrix(op.gate_name, op.angle)
@@ -96,12 +100,24 @@ def execute(circuit: Circuit) -> StateVector:
             exc.op_index = index
             exc.args = (f"op {index} ({op.gate_name}): {exc}",)
             raise
-        tensor = gates.apply_gate_tensor(tensor, matrix, op.targets)
-    return StateVector(n, tensor.reshape(-1))
+        gates.apply_gate_tensor(src, out, matrix, op.targets)
+        src, out = out, src
+    del out  # free the scratch buffer before the state is validated
+    return StateVector(n, src.reshape(-1))
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """A Philox key: a Python or numpy integer (not a bool) in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {seed!r}")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:

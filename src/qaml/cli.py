@@ -45,9 +45,10 @@ def _resolve_seed(seed: int | None) -> int:
             seed = int(env)
         except ValueError:
             _config_exit(f"QAML_SEED must be an integer, got {env!r}")
-    if not 0 <= seed < 2**64:
-        _config_exit(f"{source} must be in [0, 2**64), got {seed}")
-    return seed
+    try:
+        return circuit_mod._check_seed(seed, source)
+    except ConfigError as exc:
+        _config_exit(str(exc))
 
 
 def _load_program(path: str) -> SourceProgram:

@@ -60,13 +60,17 @@ def _parse_angle(token: _Token) -> float:
         denom = float(match.group(3)) if match.group(3) else 1.0
         if denom == 0:
             raise ParseError(token.line, token.column, "division by zero in angle", text)
-        return sign * coeff * math.pi / denom
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(
-            token.line, token.column, f"malformed angle literal {text!r}", text
-        ) from None
+        value = sign * coeff * math.pi / denom
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(
+                token.line, token.column, f"malformed angle literal {text!r}", text
+            ) from None
+    if not math.isfinite(value):
+        raise ParseError(token.line, token.column, f"angle must be finite, got {text!r}", text)
+    return value
 
 
 def _parse_index(token: _Token, n_qubits: int) -> int:

@@ -1,10 +1,16 @@
 """Gate matrices and their application to state vectors.
 
 `apply_gate_tensor` is the one kernel: it applies a 2x2 or 4x4 unitary to a
-rank-n qubit tensor in O(2^n) time, and `apply_gate`, `circuit.execute` and
-the batched ansatz pass in `hybrid` all call it with matrices from
-`op_matrix`. The full 2^n x 2^n operator is only ever materialized by the
-small-instance test oracle `dense_unitary`.
+batch-last `(2^n, batch)` buffer in O(2^n * batch) time, writing into a
+second buffer the caller owns, and `apply_gate`, `circuit.execute` and the
+batched ansatz pass in `hybrid` all call it with matrices from `op_matrix`.
+Its results are bit-identical to the batch-first contraction kernel it
+replaced, which `tests/test_kernel_oracle.py` keeps as its oracle: every
+path runs the same BLAS zgemm arithmetic or, for CX, copies that give the
+same bits. There is no elementwise pair-update or phase-multiply path,
+because numpy's complex arithmetic does not fuse multiply-adds as OpenBLAS
+zgemm does, which would move the last bits. The full 2^n x 2^n operator is
+only ever materialized by the small-instance test oracle `dense_unitary`.
 """
 
 from __future__ import annotations
@@ -147,8 +153,16 @@ def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     return GateMatrix(name, GATE_ARITY[name], matrix, None if angle is None else float(angle))
 
 
+def _qubit_index(target) -> int:
+    """A qubit index as an int: Python and numpy integers only, not bools
+    and not floats, which `int` would silently truncate."""
+    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+        raise TargetOutOfRange(f"qubit index must be an integer, got {target!r}")
+    return int(target)
+
+
 def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(_qubit_index(t) for t in targets)
     if len(targets) != arity:
         raise ArityMismatch(f"gate acts on {arity} qubit(s), got targets {targets}")
     if len(set(targets)) != len(targets):
@@ -159,18 +173,79 @@ def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
     return targets
 
 
-def apply_gate_tensor(tensor: np.ndarray, matrix: np.ndarray, axes) -> np.ndarray:
-    """Contract a small unitary into the given axes of a rank-n qubit tensor.
+# A one-qubit gate on qubit q runs as one zgemm per (2, cols) block of the
+# (2**q, 2, cols) view when cols is a multiple of 4, so that BLAS has no
+# remainder columns, and when the blocks are wide or few: each zgemm call
+# costs about as much as staging 50 amplitudes (measured at n = 10 to 20).
+MATMUL_MIN_COLS = 32
+MATMUL_MAX_BLOCKS = 32
 
-    The only gate kernel. `tensor` has one length-2 axis per qubit (plus
-    optionally a leading batch axis); `axes` names the axes the gate acts on,
-    control first for CX. Axes are not checked here: callers pass targets
-    already checked against the register.
+
+def _cx(src: np.ndarray, out: np.ndarray, control: int, target: int) -> None:
+    """CX as three permuted slice copies. Adding 0.0 turns -0.0 into +0.0,
+    as the zgemm of the permutation matrix does outside remainder columns."""
+    dim, batch = src.shape
+    lo, hi = sorted((control, target))
+    shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, (dim >> (hi + 1)) * batch)
+    src, out = src.reshape(shape), out.reshape(shape)
+    c_axis, t_axis = (1, 3) if control < target else (3, 1)
+
+    def at(c_bit, t_bit=slice(None)):
+        index = [slice(None)] * 5
+        index[c_axis], index[t_axis] = c_bit, t_bit
+        return tuple(index)
+
+    np.add(src[at(0)], 0.0, out=out[at(0)])
+    np.add(src[at(1, 1)], 0.0, out=out[at(1, 0)])
+    np.add(src[at(1, 0)], 0.0, out=out[at(1, 1)])
+
+
+def _staged(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
+    """The batch-first contraction: stage the amplitudes in `out` with the
+    target axes first, then the batch, then the other qubits, multiply into
+    `src` with one zgemm and copy the product back into `out`."""
+    dim, batch = src.shape
+    n = dim.bit_length() - 1
+    perm = (*targets, n, *(k for k in range(n) if k not in targets))
+    tensor_shape = (2,) * n + (batch,)
+    staged = out.reshape(tuple(tensor_shape[k] for k in perm))
+    np.copyto(staged, src.reshape(tensor_shape).transpose(perm))
+    product = src.reshape(staged.shape)
+    rows = 1 << len(targets)
+    np.dot(matrix, staged.reshape(rows, -1), out=product.reshape(rows, -1))
+    inverse = sorted(range(n + 1), key=perm.__getitem__)
+    np.copyto(out.reshape(tensor_shape), product.transpose(inverse))
+
+
+def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
+    """Apply a 2x2 or 4x4 unitary to the named qubits, writing into `out`.
+
+    The only gate kernel. `src` and `out` are distinct C-contiguous
+    `(2**n, batch)` complex128 buffers, one column per state (batch-last);
+    `src` is scratch and holds garbage afterwards. Targets are not checked
+    here (control first for CX): callers pass targets already checked
+    against the register.
+
+    Results are bit-identical to the contraction this kernel replaced: one
+    zgemm of the gate with the state staged as `(2**arity, N)`, target axes
+    first, then the batch, then the other qubits. Every path here does the
+    same zgemm arithmetic per column, and a column's bits depend only on
+    whether BLAS treats it as a remainder column (the last N mod 4). A
+    one-qubit gate on qubit q is one zgemm per block of the `(2**q, 2, cols)`
+    view when no block has remainder columns; CX is a permutation (`_cx`)
+    when the staged product has none; everything else is `_staged`.
     """
-    arity = len(axes)
-    gate_t = matrix.reshape((2,) * (2 * arity))
-    out = np.tensordot(gate_t, tensor, axes=(list(range(arity, 2 * arity)), list(axes)))
-    return np.moveaxis(out, list(range(arity)), list(axes))
+    dim, batch = src.shape
+    if len(targets) == 1:
+        q = targets[0]
+        cols = (dim >> (q + 1)) * batch
+        if cols % 4 == 0 and (cols >= MATMUL_MIN_COLS or (1 << q) <= MATMUL_MAX_BLOCKS):
+            np.matmul(matrix, src.reshape(1 << q, 2, cols), out=out.reshape(1 << q, 2, cols))
+            return
+    elif matrix is FIXED_MATRICES["CX"] and (dim >> 2) * batch % 4 == 0:
+        _cx(src, out, *targets)
+        return
+    _staged(src, out, matrix, targets)
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
@@ -180,8 +255,9 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     significant bit of the amplitude index).
     """
     targets = _check_targets(targets, gate.arity, state.n_qubits)
-    tensor = state.amplitudes.reshape((2,) * state.n_qubits)
-    out = apply_gate_tensor(tensor, gate.matrix, targets)
+    src = state.amplitudes.reshape(-1, 1).copy()  # the kernel overwrites its source
+    out = np.empty_like(src)
+    apply_gate_tensor(src, out, gate.matrix, targets)
     return StateVector(state.n_qubits, out.reshape(-1))
 
 

@@ -10,7 +10,8 @@ by gradient descent.
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
 (`AnsatzOp` is another name for `CircuitOp`). Angle encoding runs through
 `circuit.execute`; the ansatz pass advances every sample together through the
-same kernel, `gates.apply_gate_tensor`, on one batched tensor. In shot mode
+same kernel, `gates.apply_gate_tensor`, as the columns of a batch-last
+`(2^n, batch)` buffer, swapping two buffers between ops. In shot mode
 the readout takes one block of draws for all samples, the same stream as
 drawing sample by sample, and `train` runs the unshifted ansatz pass once per
 iteration, reading it for the loss and again for the gradient.
@@ -25,7 +26,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, CircuitOp, Histogram, _cdf, _rng, execute, sample_state
+from .circuit import (
+    Circuit,
+    CircuitOp,
+    Histogram,
+    _cdf,
+    _check_seed,
+    _rng,
+    execute,
+    sample_state,
+)
 from .encoding import EncodingSpec, encode_amplitude, encode_angle
 from .errors import (
     ConfigError,
@@ -148,9 +158,8 @@ class LossSpec:
 
 
 def _batch_tensor(states: tuple[StateVector, ...]) -> np.ndarray:
-    n = states[0].n_qubits
-    batch = np.stack([s.amplitudes for s in states])
-    return batch.reshape((len(states),) + (2,) * n)
+    """The states as the columns of one C-contiguous `(2**n, batch)` buffer."""
+    return np.stack([s.amplitudes for s in states], axis=1)
 
 
 def _bound_angles(template: AnsatzTemplate, params: np.ndarray) -> list:
@@ -161,17 +170,23 @@ def _bound_angles(template: AnsatzTemplate, params: np.ndarray) -> list:
 
 
 def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
+    """The batch after the bound ansatz; `tensor` is left as it is.
+
+    The pass works in two buffers, swapped after every op."""
+    src, out = np.array(tensor, order="C"), np.empty(tensor.shape, dtype=np.complex128)
     for op, angle in zip(template.ops, angles):
-        matrix = gates.op_matrix(op.gate_name, angle)
-        tensor = gates.apply_gate_tensor(tensor, matrix, [1 + q for q in op.targets])
-    return tensor
+        gates.apply_gate_tensor(src, out, gates.op_matrix(op.gate_name, angle), op.targets)
+        src, out = out, src
+    return src
 
 
 def _batch_probs(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
-    """Outcome probabilities after the ansatz, one row per sample."""
-    out = _run_ansatz(tensor, template, angles)
-    flat = out.reshape(out.shape[0], -1)
-    return flat.real**2 + flat.imag**2
+    """Outcome probabilities after the ansatz, one C-contiguous row per
+    sample: the row layout fixes the summation order of `_readout`."""
+    amps = _run_ansatz(tensor, template, angles).T
+    probs = np.square(amps.real, order="C")
+    probs += np.square(amps.imag)
+    return probs
 
 
 def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
@@ -279,15 +294,17 @@ class TrainConfig:
     hadamard_layer: bool = False
 
     def __post_init__(self):
-        for name in ("max_iterations", "shots", "seed"):
+        for name in ("max_iterations", "shots"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        # the range checks are negated so that NaN fails them
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
+            )
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
         if self.gradient_method not in GRADIENT_METHODS:
@@ -295,14 +312,14 @@ class TrainConfig:
         if self.gradient_method == "finite_difference":
             if self.fd_step is None:
                 object.__setattr__(self, "fd_step", 1e-5)
-            elif self.fd_step <= 0:
-                raise ConfigError("fd_step must be positive")
+            elif not 0 < self.fd_step < math.inf:
+                raise ConfigError(f"fd_step must be finite and positive, got {self.fd_step}")
         elif self.fd_step is not None:
             raise ConfigError("fd_step only applies to finite_difference")
         if self.shots < 0:
             raise ConfigError("shots must be >= 0")
-        if self.convergence_tol < 0:
-            raise ConfigError("convergence_tol must be non-negative")
+        if not self.convergence_tol >= 0:
+            raise ConfigError(f"convergence_tol must be non-negative, got {self.convergence_tol}")
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
@@ -444,10 +461,7 @@ def train(
 
     final_histogram = None
     if config.shots > 0:
-        final_state_tensor = _run_ansatz(
-            tensor[:1], template, _bound_angles(template, params)
-        )
-        amps = final_state_tensor.reshape(-1)
+        amps = _run_ansatz(tensor[:, :1], template, _bound_angles(template, params)).reshape(-1)
         final_state = StateVector(template.n_qubits, amps / np.linalg.norm(amps))
         final_histogram = sample_state(final_state, config.shots, config.seed)
 

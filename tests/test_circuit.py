@@ -19,7 +19,7 @@ from qaml import (
     sample_state,
 )
 from qaml.circuit import _draw_indices
-from qaml.errors import NonFiniteAngle, TargetOutOfRange
+from qaml.errors import ConfigError, NonFiniteAngle, TargetOutOfRange
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -63,6 +63,18 @@ class TestCircuitConstruction:
     def test_rejects_unbound_param_slot(self):
         with pytest.raises(NonFiniteAngle, match="unbound parameter slot p3"):
             Circuit(2, (CircuitOp("H", (0,)), CircuitOp("RZ", (1,), param=3)))
+
+    @pytest.mark.parametrize("target", [0.9, 1.0, True, np.bool_(False), "0", None])
+    def test_rejects_non_integer_target(self, target):
+        # int() would truncate 0.9 to qubit 0 and read True as qubit 1
+        with pytest.raises(TargetOutOfRange, match="must be an integer"):
+            CircuitOp("H", (target,))
+        with pytest.raises(TargetOutOfRange, match="must be an integer"):
+            CircuitOp("CX", (0, target))
+
+    def test_numpy_integer_targets_accepted(self):
+        op = CircuitOp("CX", (np.int64(1), np.uint8(0)))
+        assert op.targets == (1, 0) and all(type(t) is int for t in op.targets)
 
 
 class TestExecute:
@@ -185,6 +197,20 @@ class TestSample:
         b = sample(BELL, 1000, seed=5)
         assert a == b
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7", None])
+    def test_rejects_bad_seed(self, seed):
+        # not an OverflowError from Philox, and 1.5 is not truncated to 1
+        with pytest.raises(ConfigError, match="seed must be"):
+            sample(BELL, 3, seed)
+        with pytest.raises(ConfigError, match="seed must be"):
+            sample_state(make_basis_state(1, "0"), 3, seed)
+        with pytest.raises(ConfigError, match="seed must be"):
+            measure_once(make_basis_state(1, "0"), seed)
+
+    def test_seed_bounds_and_numpy_integers_accepted(self):
+        assert sample(BELL, 5, 2**64 - 1).shots == 5
+        assert sample(BELL, 5, np.uint64(9)) == sample(BELL, 5, 9)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_exits_1(self, tmp_path, capsys, angle):
+        path = write(tmp_path / "bad.q", f"qubits 1\nrx 0 {angle}\n")
+        assert main(["run", path]) == 1
+        assert f"bad.q:line 2, column 6: angle must be finite, got '{angle}'" in capsys.readouterr().err
+
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path / "idle.q", "qubits 1\nx 0\n")
         assert main(["run", path, "--shots", "3", "--format", "text"]) == 0
@@ -206,6 +212,18 @@ class TestTrain:
         out = str(tmp_path / "report.json")
         assert main(["train", "--config", config, "--data", data, "--out", out]) == 4
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", math.nan), ("learning_rate", math.inf), ("convergence_tol", math.nan)],
+    )
+    def test_non_finite_config_exits_4(self, tmp_path, capsys, field, value):
+        # a config error, not a failure inside the ansatz reported as a dataset error (exit 5)
+        config = self.config(tmp_path, **{field: value})
+        data = write(tmp_path / "data.csv", "0.0,1\n1.0,-1\n")
+        out = str(tmp_path / "report.json")
+        assert main(["train", "--config", config, "--data", data, "--out", out]) == 4
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be")
 
     def test_missing_config_exits_4(self, tmp_path):
         data = write(tmp_path / "data.csv", "0.0,1\n")

@@ -103,6 +103,16 @@ class TestParseExamples:
             [math.pi, math.pi / 2, -math.pi / 4, 3 * math.pi / 2]
         )
 
+    @pytest.mark.parametrize(
+        "angle",
+        ["nan", "inf", "-inf", "Infinity", "1e400", pytest.param("9" * 400 + "pi", id="huge-pi")],
+    )
+    def test_non_finite_angle_is_a_parse_error(self, angle):
+        with pytest.raises(ParseError, match="angle must be finite") as info:
+            parse(f"qubits 2\nh 1\nrx 0 {angle}\n")
+        assert (info.value.line, info.value.column) == (3, 6)
+        assert info.value.offending_token == angle
+
     def test_source_program_origin(self):
         circ = parse(SourceProgram("qubits 1\nx 0", "prog.q"))
         assert circ.ops[0].gate_name == "X"

@@ -261,6 +261,24 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"convergence_tol": math.nan},
+            {"gradient_method": "finite_difference", "fd_step": math.nan},
+            {"gradient_method": "finite_difference", "fd_step": math.inf},
+        ],
+    )
+    def test_non_finite_floats_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            TrainConfig(**overrides)
+
+    def test_non_finite_learning_rate_from_json(self):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            TrainConfig.from_json('{"learning_rate": NaN}')
+
     def test_fractional_iterations_from_json(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_json('{"max_iterations": 1.5}')
