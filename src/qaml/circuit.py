@@ -2,14 +2,15 @@
 
 Execution starts from |0...0> and applies the gate kernel in program order,
 swapping two state buffers between ops; targets are checked when the
-`Circuit` is built and the state is validated once, on return. Every seed
-passes one check (`_check_seed`), shared with `TrainConfig` and the CLI.
-Measurement uses the Philox counter-based
-generator (platform-independent) with inverse-CDF sampling over the
-cumulative probability sequence, so identical (inputs, seed) always
-reproduce identical outcomes. Every sampler builds that sequence with
-`_cdf`; `sample_state` counts its sorted draws per outcome instead of
-mapping each draw to an outcome, which gives the same histogram.
+`Circuit` is built, together with the register ceiling, and the state is
+validated once, on return. Every seed and shot count passes one check
+(`_check_seed`, `_check_shots`), shared with `TrainConfig` and the CLI.
+Measurement uses the Philox counter-based generator (platform-independent)
+with inverse-CDF sampling over the cumulative probability sequence, so
+identical (inputs, seed) always reproduce identical outcomes. Every sampler
+builds that sequence with `_cdf`; `sample_state` counts its sorted draws per
+outcome instead of mapping each draw to an outcome, which gives the same
+histogram.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import ConfigError, NonFiniteAngle, QamlError
-from .state import StateVector, bitstrings, make_basis_state, probabilities
+from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, UnknownGate
+from .state import StateVector, _check_register, bitstrings, make_basis_state, probabilities
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,14 @@ class CircuitOp:
         return gates.gate_from_name(self.gate_name, self.angle)
 
 
+def _check_op(op: CircuitOp, n_qubits: int) -> None:
+    """The op names a known gate and its targets fit an n-qubit register."""
+    arity = gates.GATE_ARITY.get(op.gate_name)
+    if arity is None:
+        raise UnknownGate(f"unknown gate {op.gate_name!r}")
+    gates._check_targets(op.targets, arity, n_qubits)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate program on a fixed-size register."""
@@ -58,13 +67,11 @@ class Circuit:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
+            raise InvariantError(f"n_qubits must be positive, got {self.n_qubits}")
+        _check_register(self.n_qubits)
         ops = tuple(self.ops)
         for op in ops:
-            arity = gates.GATE_ARITY.get(op.gate_name)
-            if arity is None:
-                raise QamlError(f"unknown gate {op.gate_name!r}")
-            gates._check_targets(op.targets, arity, self.n_qubits)
+            _check_op(op, self.n_qubits)
             if op.param is not None:
                 raise NonFiniteAngle(f"{op.gate_name} op has unbound parameter slot p{op.param}")
         object.__setattr__(self, "ops", ops)
@@ -78,10 +85,9 @@ class Histogram:
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be positive")
+        _check_shots(self.shots)
         if sum(self.counts.values()) != self.shots:
-            raise ValueError("histogram counts must sum to shots")
+            raise InvariantError("histogram counts must sum to shots")
 
     def to_json(self) -> str:
         return json.dumps({"shots": self.shots, "counts": self.counts}, sort_keys=True)
@@ -114,6 +120,15 @@ def _check_seed(seed, name: str = "seed") -> int:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
     return seed
+
+
+def _check_shots(shots, name: str = "shots") -> int:
+    """A shot count: a Python or numpy integer (not a bool), at least 1."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ConfigError(f"{name} must be >= 1, got {shots}")
+    return int(shots)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -149,8 +164,7 @@ def sample_state(state: StateVector, shots: int, seed: int) -> Histogram:
     The draws are those of `_draw_indices`; they are counted per outcome by
     sorting them and locating each CDF entry among them, which gives the
     same histogram without mapping every draw to its outcome."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _check_shots(shots)
     draws = _rng(seed).random(shots)
     draws.sort()
     # draws below cdf[k] are exactly those whose outcome is <= k
@@ -163,5 +177,8 @@ def sample_state(state: StateVector, shots: int, seed: int) -> Histogram:
 def sample(circuit: Circuit, shots: int, seed: int) -> Histogram:
     """Execute once, then draw `shots` independent Born-rule samples.
 
-    The final state is reused across shots; it is never re-collapsed."""
+    The final state is reused across shots; it is never re-collapsed. Shots
+    and seed are checked before the circuit runs."""
+    _check_shots(shots)
+    _check_seed(seed)
     return sample_state(execute(circuit), shots, seed)

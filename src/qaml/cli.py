@@ -1,13 +1,20 @@
 """Command-line front end: run, state, encode, train.
 
 Machine-readable output goes to stdout as JSON; diagnostics go to stderr.
-Exit codes: 1 parse error, 2 simulation error, 3 encoder error, 4 config
-error, 5 dataset error.
+The commands only raise; `main` turns every error into one stderr line and
+an exit code chosen by its group in `EXIT_CODES`: 1 parse error, 2
+simulation error, 3 encoder error, 4 config error (usage errors included),
+5 dataset error, 70 internal error (anything that is not a `QamlError`).
+A file that cannot be read, decoded or written raises the error of its
+role: the program file 1, `--config` and `--out` 4, `--data` 5 and an
+`encode --input` file 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -18,53 +25,65 @@ from . import circuit as circuit_mod
 from . import encoding as encoding_mod
 from . import hybrid
 from .dsl import SourceProgram, parse, to_dsl
-from .errors import ConfigError, ParseError, QamlError
+from .errors import ConfigError, DatasetError, EncodingError, ParseError, QamlError, SimulationError
 from .state import StateVector, bitstrings
 
-EXIT_PARSE = 1
-EXIT_SIM = 2
-EXIT_ENCODE = 3
-EXIT_CONFIG = 4
-EXIT_DATASET = 5
+# The exit code and stderr prefix of each error group, in the order checked.
+# A parse error with a position is shown as "prog.q:line 3, column 1: ...".
+EXIT_CODES = (
+    (ParseError, 1, "parse error"),
+    (SimulationError, 2, "simulation error"),
+    (EncodingError, 3, "encoding error"),
+    (ConfigError, 4, "config error"),
+    (DatasetError, 5, "dataset error"),
+    (Exception, 70, "internal error"),
+)
 
 
-def _config_exit(message: str):
-    print(f"config error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_CONFIG)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `ConfigError` instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+@contextlib.contextmanager
+def _file_errors(path: str, error):
+    """Raise a failure to read, decode, parse or write `path` as
+    `error(message)`, the error group of the file's role."""
+    try:
+        yield
+    except (OSError, UnicodeError, EncodingError) as exc:
+        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _read_text(path: str, error) -> str:
+    with _file_errors(path, error), open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _resolve_seed(seed: int | None) -> int:
     """The --seed value, else QAML_SEED, else 0; a 64-bit Philox key."""
-    source = "--seed"
-    if seed is None:
-        env = os.environ.get("QAML_SEED")
-        if not env:
-            return 0
-        source = "QAML_SEED"
-        try:
-            seed = int(env)
-        except ValueError:
-            _config_exit(f"QAML_SEED must be an integer, got {env!r}")
+    if seed is not None:
+        return circuit_mod._check_seed(seed, "--seed")
+    env = os.environ.get("QAML_SEED")
+    if not env:
+        return 0
     try:
-        return circuit_mod._check_seed(seed, source)
-    except ConfigError as exc:
-        _config_exit(str(exc))
-
-
-def _load_program(path: str) -> SourceProgram:
-    if path == "-":
-        return SourceProgram(sys.stdin.read(), "<stdin>")
-    with open(path, encoding="utf-8") as handle:
-        return SourceProgram(handle.read(), path)
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"QAML_SEED must be an integer, got {env!r}") from None
+    return circuit_mod._check_seed(seed, "QAML_SEED")
 
 
 def _parse_file(path: str):
-    program = _load_program(path)
-    try:
-        return parse(program)
-    except ParseError as exc:
-        print(f"{program.origin}:{exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from None
+    unreadable = functools.partial(ParseError, None, None)
+    if path == "-":
+        with _file_errors("<stdin>", unreadable):
+            text, path = sys.stdin.read(), "<stdin>"
+    else:
+        text = _read_text(path, unreadable)
+    return parse(SourceProgram(text, path))
 
 
 def _state_entries(state: StateVector, threshold: float) -> list[dict]:
@@ -85,15 +104,9 @@ def _state_entries(state: StateVector, threshold: float) -> list[dict]:
 
 
 def cmd_run(args) -> int:
-    if args.shots < 1:
-        _config_exit(f"--shots must be >= 1, got {args.shots}")
+    shots = circuit_mod._check_shots(args.shots, "--shots")
     seed = _resolve_seed(args.seed)
-    circ = _parse_file(args.file)
-    try:
-        histogram = circuit_mod.sample(circ, args.shots, seed)
-    except QamlError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIM
+    histogram = circuit_mod.sample(_parse_file(args.file), shots, seed)
     if args.format == "json":
         print(histogram.to_json())
     else:
@@ -104,59 +117,29 @@ def cmd_run(args) -> int:
 
 
 def cmd_state(args) -> int:
-    circ = _parse_file(args.file)
-    try:
-        state = circuit_mod.execute(circ)
-    except QamlError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIM
+    state = circuit_mod.execute(_parse_file(args.file))
     print(json.dumps(_state_entries(state, args.threshold), sort_keys=True))
     return 0
 
 
-def _encode_input_rows(raw: str) -> list[list[str]]:
-    """Input is a file path (CSV) or an inline comma-separated row."""
-    if os.path.isfile(raw):
-        with open(raw, encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = raw
-    rows = [
-        [cell.strip() for cell in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    return rows or [[]]
-
-
-def _numeric_row(rows: list[list[str]]) -> list[float]:
-    # optional header row: skipped when its first cell is not numeric
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        rows = rows[1:] or [[]]
-    return [float(cell) for cell in rows[0]]
-
-
 def cmd_encode(args) -> int:
-    rows = _encode_input_rows(args.input)
-    cells = rows[0]
-    try:
-        if args.method == "basis":
-            state = encoding_mod.encode_basis("".join(cells))
-        elif args.method == "superposition":
-            state = encoding_mod.encode_superposition(cells)
-        elif args.method == "amplitude":
-            state = encoding_mod.encode_amplitude(_numeric_row(rows))
-        else:  # angle
-            circ = encoding_mod.encode_angle(_numeric_row(rows), args.axis.upper())
-            if args.emit_circuit:
-                sys.stdout.write(to_dsl(circ))
-                return 0
-            state = circuit_mod.execute(circ)
-    except (QamlError, ValueError) as exc:
-        print(f"encoding error: {exc}", file=sys.stderr)
-        return EXIT_ENCODE
+    # the input is a CSV file path or one inline row; only its first row is encoded
+    text = _read_text(args.input, EncodingError) if os.path.isfile(args.input) else args.input
+    bits = args.method in ("basis", "superposition")
+    rows = encoding_mod.read_feature_rows(text, str.strip if bits else float)
+    cells = rows[0] if rows else []
+    if args.method == "basis":
+        state = encoding_mod.encode_basis("".join(cells))
+    elif args.method == "superposition":
+        state = encoding_mod.encode_superposition(cells)
+    elif args.method == "amplitude":
+        state = encoding_mod.encode_amplitude(cells)
+    else:  # angle
+        circ = encoding_mod.encode_angle(cells, args.axis.upper())
+        if args.emit_circuit:
+            sys.stdout.write(to_dsl(circ))
+            return 0
+        state = circuit_mod.execute(circ)
     print(json.dumps(_state_entries(state, args.threshold), sort_keys=True))
     return 0
 
@@ -169,54 +152,23 @@ def default_ansatz(n_qubits: int) -> hybrid.AnsatzTemplate:
     return hybrid.AnsatzTemplate(n_qubits, tuple(ops), 2 * n_qubits)
 
 
-def _load_training_data(path: str) -> list[tuple[list[float], int]]:
-    try:
-        rows = encoding_mod.load_feature_rows(path)
-    except (OSError, QamlError) as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_DATASET) from None
-    data = []
-    for row in rows:
-        if len(row) < 2:
-            print("dataset error: each row needs features plus a label", file=sys.stderr)
-            raise SystemExit(EXIT_DATASET)
-        label = row[-1]
-        if label not in (-1.0, 1.0):
-            print("dataset error: label must be -1 or +1", file=sys.stderr)
-            raise SystemExit(EXIT_DATASET)
-        data.append((row[:-1], int(label)))
-    if not data:
-        print("dataset error: empty dataset", file=sys.stderr)
-        raise SystemExit(EXIT_DATASET)
-    return data
-
-
 def cmd_train(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            config = hybrid.TrainConfig.from_json(handle.read())
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    data = _load_training_data(args.data)
-    n_features = len(data[0][0])
+    config = hybrid.TrainConfig.from_json(_read_text(args.config, ConfigError))
+    with _file_errors(args.data, DatasetError):
+        rows = encoding_mod.load_feature_rows(args.data)
+    if not rows:
+        raise DatasetError("empty dataset")
+    if any(len(row) < 2 for row in rows):
+        raise DatasetError("each row needs features plus a label")
+    n_features = len(rows[0]) - 1
     spec = encoding_mod.EncodingSpec(args.encoding, args.axis.upper())
     if spec.method == "amplitude":
         n_qubits = max(int(np.ceil(np.log2(n_features))), 1)
     else:
         n_qubits = n_features
-    template = default_ansatz(n_qubits)
-    try:
-        report = hybrid.train(template, data, spec, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except QamlError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
-
-    with open(args.out, "w", encoding="utf-8") as handle:
+    data = [(row[:-1], row[-1]) for row in rows]
+    report = hybrid.train(default_ansatz(n_qubits), data, spec, config)
+    with _file_errors(args.out, ConfigError), open(args.out, "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
         handle.write("\n")
     final_loss = report.loss_trace[-1] if report.loss_trace else float("nan")
@@ -228,7 +180,7 @@ def cmd_train(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qaml",
         description="State-vector circuit simulator with data encoders and hybrid training",
     )
@@ -266,11 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code. Every error ends here as
+    one stderr line; `--help` exits 0 through argparse."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    except Exception as exc:
+        code, prefix = next((c, p) for group, c, p in EXIT_CODES if isinstance(exc, group))
+        if isinstance(exc, ParseError) and exc.line is not None:
+            line = f"{exc.origin}:{exc}"
+        else:
+            line = f"{prefix}: {exc if isinstance(exc, QamlError) else repr(exc)}"
+        print(" ".join(line.splitlines()), file=sys.stderr)
+        return code
 
 
 def entry_point():

@@ -51,6 +51,10 @@ def _tokenize_line(line: str, line_no: int) -> list[_Token]:
     ]
 
 
+def _error(token: _Token, message: str) -> ParseError:
+    return ParseError(token.line, token.column, message, token.text)
+
+
 def _parse_angle(token: _Token) -> float:
     text = token.text
     match = _PI_RE.match(text)
@@ -59,17 +63,15 @@ def _parse_angle(token: _Token) -> float:
         coeff = float(match.group(2)) if match.group(2) else 1.0
         denom = float(match.group(3)) if match.group(3) else 1.0
         if denom == 0:
-            raise ParseError(token.line, token.column, "division by zero in angle", text)
+            raise _error(token, "division by zero in angle")
         value = sign * coeff * math.pi / denom
     else:
         try:
             value = float(text)
         except ValueError:
-            raise ParseError(
-                token.line, token.column, f"malformed angle literal {text!r}", text
-            ) from None
+            raise _error(token, f"malformed angle literal {text!r}") from None
     if not math.isfinite(value):
-        raise ParseError(token.line, token.column, f"angle must be finite, got {text!r}", text)
+        raise _error(token, f"angle must be finite, got {text!r}")
     return value
 
 
@@ -77,16 +79,9 @@ def _parse_index(token: _Token, n_qubits: int) -> int:
     try:
         index = int(token.text)
     except ValueError:
-        raise ParseError(
-            token.line, token.column, f"expected a qubit index, got {token.text!r}", token.text
-        ) from None
+        raise _error(token, f"expected a qubit index, got {token.text!r}") from None
     if not 0 <= index < n_qubits:
-        raise ParseError(
-            token.line,
-            token.column,
-            f"index {index} >= declared qubits ({n_qubits})",
-            token.text,
-        )
+        raise _error(token, f"index {index} >= declared qubits ({n_qubits})")
     return index
 
 
@@ -94,22 +89,26 @@ def _expect_arity(tokens: list[_Token], count: int):
     head = tokens[0]
     args = tokens[1:]
     if len(args) < count:
-        raise ParseError(
-            head.line, head.column, f"{head.text!r} expects {count} operand(s), got {len(args)}", head.text
-        )
+        raise _error(head, f"{head.text!r} expects {count} operand(s), got {len(args)}")
     if len(args) > count:
         extra = args[count]
-        raise ParseError(
-            extra.line, extra.column, f"unexpected extra token {extra.text!r}", extra.text
-        )
+        raise _error(extra, f"unexpected extra token {extra.text!r}")
     return args
 
 
 def parse(program: SourceProgram | str) -> Circuit:
-    """Parse DSL text into a validated Circuit."""
+    """Parse DSL text into a validated Circuit; a `ParseError` names the
+    program's origin."""
     if isinstance(program, str):
         program = SourceProgram(program, "<string>")
-    lines = program.text.splitlines()
+    try:
+        return _parse_lines(program.text.splitlines())
+    except ParseError as exc:
+        exc.origin = program.origin
+        raise
+
+
+def _parse_lines(lines: list[str]) -> Circuit:
     if len(lines) > MAX_LINES:
         raise ParseError(MAX_LINES + 1, 1, f"program exceeds {MAX_LINES} lines", "")
 
@@ -125,33 +124,23 @@ def parse(program: SourceProgram | str) -> Circuit:
 
         if keyword == "qubits":
             if n_qubits is not None:
-                raise ParseError(
-                    head.line, head.column, 'duplicate "qubits" header', head.text
-                )
+                raise _error(head, 'duplicate "qubits" header')
             (count,) = _expect_arity(tokens, 1)
             try:
                 n_qubits = int(count.text)
             except ValueError:
-                raise ParseError(
-                    count.line, count.column, f"expected a qubit count, got {count.text!r}", count.text
-                ) from None
+                raise _error(count, f"expected a qubit count, got {count.text!r}") from None
             if n_qubits < 1:
-                raise ParseError(
-                    count.line, count.column, f"qubit count must be positive, got {n_qubits}", count.text
-                )
+                raise _error(count, f"qubit count must be positive, got {n_qubits}")
             continue
 
         if n_qubits is None:
-            raise ParseError(
-                head.line, head.column, 'statement before the "qubits" header', head.text
-            )
+            raise _error(head, 'statement before the "qubits" header')
 
         if keyword == "measure":
             (what,) = _expect_arity(tokens, 1)
             if what.text.lower() != "all":
-                raise ParseError(
-                    what.line, what.column, f'expected "all" after measure, got {what.text!r}', what.text
-                )
+                raise _error(what, f'expected "all" after measure, got {what.text!r}')
             measure_all = True
         elif keyword in _SINGLE:
             (target,) = _expect_arity(tokens, 1)
@@ -170,14 +159,10 @@ def parse(program: SourceProgram | str) -> Circuit:
             c = _parse_index(control, n_qubits)
             t = _parse_index(target, n_qubits)
             if c == t:
-                raise ParseError(
-                    target.line, target.column, "control and target must differ", target.text
-                )
+                raise _error(target, "control and target must differ")
             ops.append(CircuitOp("CX", (c, t)))
         else:
-            raise ParseError(
-                head.line, head.column, f"unknown mnemonic {head.text!r}", head.text
-            )
+            raise _error(head, f"unknown mnemonic {head.text!r}")
 
     if n_qubits is None:
         raise ParseError(1, 1, 'missing "qubits" header', "")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp
 from .errors import (
+    ConfigError,
     DuplicateBasisState,
     EmptyInput,
     InvalidBitstring,
@@ -22,7 +23,7 @@ from .errors import (
     NonFiniteFeature,
     ZeroVector,
 )
-from .state import StateVector, bitstring_to_index, make_basis_state
+from .state import StateVector, _check_register, bitstring_to_index, make_basis_state
 
 METHODS = ("basis", "superposition", "angle", "amplitude")
 AXES = ("X", "Y", "Z")
@@ -37,10 +38,10 @@ class EncodingSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown encoding method {self.method!r}")
+            raise ConfigError(f"unknown encoding method {self.method!r}")
         axis = self.axis.upper()
         if axis not in AXES:
-            raise ValueError(f"rotation axis must be one of {AXES}, got {self.axis!r}")
+            raise ConfigError(f"rotation axis must be one of {AXES}, got {self.axis!r}")
         object.__setattr__(self, "axis", axis)
 
 
@@ -61,14 +62,13 @@ def encode_superposition(bitstrings) -> StateVector:
         raise InvalidBitstring("empty bitstring")
     if len(set(bitstrings)) != len(bitstrings):
         raise DuplicateBasisState(f"duplicate basis state in {bitstrings}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    weight = math.sqrt(1.0 / len(bitstrings))
     for bits in bitstrings:
         if len(bits) != n:
-            raise LengthMismatch(
-                f"bitstring {bits!r} has length {len(bits)}, expected {n}"
-            )
-        amps[bitstring_to_index(bits)] = weight
+            raise LengthMismatch(f"bitstring {bits!r} has length {len(bits)}, expected {n}")
+    indices = [bitstring_to_index(bits) for bits in bitstrings]
+    _check_register(n)
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[indices] = math.sqrt(1.0 / len(bitstrings))
     return StateVector(n, amps)
 
 
@@ -87,9 +87,7 @@ def encode_angle(features, axis: str = "Y") -> Circuit:
     Features are used directly as radians; callers pre-scale.
     """
     values = _check_features(features)
-    axis = axis.upper()
-    if axis not in AXES:
-        raise ValueError(f"rotation axis must be one of {AXES}, got {axis!r}")
+    axis = EncodingSpec("angle", axis).axis
     ops = tuple(
         CircuitOp(f"R{axis}", (q,), float(theta)) for q, theta in enumerate(values)
     )
@@ -106,17 +104,22 @@ def encode_amplitude(features) -> StateVector:
     if norm == 0.0:
         raise ZeroVector("amplitude encoding requires a nonzero vector")
     n_qubits = max(math.ceil(math.log2(values.size)), 1)
+    _check_register(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[: values.size] = values / norm
     return StateVector(n_qubits, amps)
 
 
-def read_feature_rows(text: str) -> list[list[float]]:
-    """Parse CSV feature rows: one vector per row, decimal literals.
+def read_feature_rows(text: str, cell=float) -> list[list]:
+    """Parse CSV feature rows: one vector per row, each cell converted by
+    `cell` (decimal literals by default, `str.strip` keeps bitstrings).
 
     A header row is skipped when its first cell is not numeric.
     """
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise EmptyInput(f"malformed CSV: {exc}") from None
     if rows:
         try:
             float(rows[0][0])
@@ -125,7 +128,7 @@ def read_feature_rows(text: str) -> list[list[float]]:
     parsed = []
     for row in rows:
         try:
-            parsed.append([float(cell) for cell in row])
+            parsed.append([cell(value) for value in row])
         except ValueError as exc:
             raise EmptyInput(f"malformed CSV row {row}: {exc}") from None
     return parsed

@@ -1,96 +1,116 @@
-"""Exception hierarchy shared by all qaml modules."""
+"""Exception hierarchy shared by all qaml modules.
+
+Every error derives from one of five group bases, and its group alone picks
+the CLI exit code (`cli.EXIT_CODES`). Errors that callers have always caught
+as `ValueError` (invariants, zero shots, encoder choice) also subclass it.
+"""
 
 
 class QamlError(Exception):
     """Base class for all qaml errors."""
 
 
-class InvalidBitstring(QamlError):
-    pass
-
-
-class QubitCountExceeded(QamlError):
-    pass
-
-
-class NonFiniteAngle(QamlError):
-    pass
-
-
-class TargetOutOfRange(QamlError):
-    pass
-
-
-class DuplicateTarget(QamlError):
-    pass
-
-
-class ArityMismatch(QamlError):
-    pass
-
-
-class UnknownGate(QamlError):
-    pass
-
-
-class OracleSizeExceeded(QamlError):
-    pass
-
-
-class DuplicateBasisState(QamlError):
-    pass
-
-
-class LengthMismatch(QamlError):
-    pass
-
-
-class EmptyInput(QamlError):
-    pass
-
-
-class NonFiniteFeature(QamlError):
-    pass
-
-
-class ZeroVector(QamlError):
-    pass
-
-
-class ParamCountMismatch(QamlError):
-    pass
-
-
-class NonFiniteParam(QamlError):
-    pass
-
-
-class QubitMismatch(QamlError):
-    pass
-
-
-class EmptyDataset(QamlError):
-    pass
-
-
-class ConfigError(QamlError):
-    pass
-
-
-class DatasetError(QamlError):
-    pass
-
-
 class ParseError(QamlError):
-    """Syntax or validation error in a circuit DSL program.
+    """A circuit DSL program that is malformed or cannot be read.
 
-    Carries a 1-based (line, column) position pointing into the source text
-    and the token that triggered the error.
+    A syntax error carries a 1-based (line, column) position pointing into
+    the source text, the offending token, and the `origin` set by `parse`;
+    an unreadable program file has line and column None.
     """
 
-    def __init__(self, line: int, column: int, message: str, offending_token: str = ""):
+    origin = "<string>"
+
+    def __init__(self, line: int | None, column: int | None, message: str, offending_token: str = ""):
         self.line = line
         self.column = column
         self.message = message
         self.offending_token = offending_token
-        super().__init__(f"line {line}, column {column}: {message}")
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
+
+
+class SimulationError(QamlError):
+    """A circuit, gate, register or state that cannot be simulated."""
+
+
+class EncodingError(QamlError):
+    """Classical data that an encoder cannot map onto a state."""
+
+
+class ConfigError(QamlError, ValueError):
+    """A setting out of range: training config, seed, shots, encoder choice."""
+
+
+class DatasetError(QamlError):
+    """Training data that cannot be trained on."""
+
+
+class InvariantError(SimulationError, ValueError):
+    """A state, circuit, histogram, gate matrix or ansatz template that breaks its invariants."""
+
+
+class QubitCountExceeded(SimulationError):
+    pass
+
+
+class NonFiniteAngle(SimulationError):
+    pass
+
+
+class TargetOutOfRange(SimulationError):
+    pass
+
+
+class DuplicateTarget(SimulationError):
+    pass
+
+
+class ArityMismatch(SimulationError):
+    pass
+
+
+class UnknownGate(SimulationError):
+    pass
+
+
+class OracleSizeExceeded(SimulationError):
+    pass
+
+
+class ParamCountMismatch(SimulationError):
+    pass
+
+
+class NonFiniteParam(SimulationError):
+    pass
+
+
+class InvalidBitstring(EncodingError):
+    pass
+
+
+class DuplicateBasisState(EncodingError):
+    pass
+
+
+class LengthMismatch(EncodingError):
+    pass
+
+
+class EmptyInput(EncodingError):
+    pass
+
+
+class NonFiniteFeature(EncodingError):
+    pass
+
+
+class ZeroVector(EncodingError):
+    pass
+
+
+class QubitMismatch(DatasetError):
+    pass
+
+
+class EmptyDataset(DatasetError):
+    pass

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     DuplicateTarget,
+    InvariantError,
     NonFiniteAngle,
     OracleSizeExceeded,
     TargetOutOfRange,
@@ -54,10 +55,10 @@ class GateMatrix:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         dim = 2**self.arity
         if mat.shape != (dim, dim):
-            raise ValueError(f"gate {self.name}: expected {dim}x{dim} matrix, got {mat.shape}")
+            raise InvariantError(f"gate {self.name}: expected {dim}x{dim} matrix, got {mat.shape}")
         deviation = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
         if deviation > UNITARITY_ATOL:
-            raise ValueError(f"gate {self.name} is not unitary (max |U†U - I| = {deviation})")
+            raise InvariantError(f"gate {self.name} is not unitary (max |U†U - I| = {deviation})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from .circuit import (
     CircuitOp,
     Histogram,
     _cdf,
+    _check_op,
     _check_seed,
     _rng,
     execute,
@@ -39,10 +41,15 @@ from .circuit import (
 from .encoding import EncodingSpec, encode_amplitude, encode_angle
 from .errors import (
     ConfigError,
+    DatasetError,
     EmptyDataset,
+    EncodingError,
+    InvalidBitstring,
+    InvariantError,
     NonFiniteParam,
     ParamCountMismatch,
     QubitMismatch,
+    SimulationError,
     TargetOutOfRange,
 )
 from .state import StateVector, make_basis_state, probabilities
@@ -67,22 +74,19 @@ class AnsatzTemplate:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+            raise InvariantError("n_qubits must be positive")
         if self.n_params < 0:
-            raise ValueError("n_params must be non-negative")
+            raise InvariantError("n_params must be non-negative")
         used = set()
         for op in self.ops:
-            arity = gates.GATE_ARITY.get(op.gate_name)
-            if arity is None:
-                raise ValueError(f"unknown gate {op.gate_name!r}")
-            gates._check_targets(op.targets, arity, self.n_qubits)
+            _check_op(op, self.n_qubits)
             if op.param is not None:
                 if not 0 <= op.param < self.n_params:
-                    raise ValueError(f"parameter slot p{op.param} out of range")
+                    raise InvariantError(f"parameter slot p{op.param} out of range")
                 used.add(op.param)
         if used != set(range(self.n_params)):
             missing = sorted(set(range(self.n_params)) - used)
-            raise ValueError(f"unused parameter slots: {missing}")
+            raise InvariantError(f"unused parameter slots: {missing}")
 
 
 def hadamard_layer(n_qubits: int) -> Circuit:
@@ -300,8 +304,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        # the range checks are negated so that NaN fails them
-        if not 0 <= self.learning_rate < math.inf:
+        # the range checks are negated so that NaN fails them, and bounded by
+        # the largest float so that an integer too large for a float fails them
+        if not 0 <= self.learning_rate <= sys.float_info.max:
             raise ConfigError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"
             )
@@ -312,7 +317,7 @@ class TrainConfig:
         if self.gradient_method == "finite_difference":
             if self.fd_step is None:
                 object.__setattr__(self, "fd_step", 1e-5)
-            elif not 0 < self.fd_step < math.inf:
+            elif not 0 < self.fd_step <= sys.float_info.max:
                 raise ConfigError(f"fd_step must be finite and positive, got {self.fd_step}")
         elif self.fd_step is not None:
             raise ConfigError("fd_step only applies to finite_difference")
@@ -382,9 +387,7 @@ def _encode_sample(
     bits = []
     for v in features:
         if v not in (0.0, 1.0):
-            raise ConfigError(
-                f"{encoding.method} encoding requires 0/1 features, got {v}"
-            )
+            raise InvalidBitstring(f"{encoding.method} encoding requires 0/1 features, got {v}")
         bits.append("1" if v else "0")
     return make_basis_state(len(bits), "".join(bits)), 0
 
@@ -399,7 +402,8 @@ def train(
     """Gradient-descent training of the ansatz angles against +/-1 labels.
 
     Exact-expectation mode (shots=0) is fully deterministic; sampled mode
-    draws shot noise from the seeded generator.
+    draws shot noise from the seeded generator. A sample that cannot be
+    encoded raises `DatasetError`.
     """
     data = list(data)
     if not data:
@@ -407,14 +411,18 @@ def train(
     labels = []
     states = []
     encode_depth = 0
-    for features, label in data:
+    for index, (features, label) in enumerate(data):
         if label not in (-1, 1):
             raise EmptyDataset(f"label must be -1 or +1, got {label}")
         labels.append(float(label))
-        state, depth = _encode_sample(features, encoding, config.hadamard_layer)
+        try:
+            state, depth = _encode_sample(features, encoding, config.hadamard_layer)
+        except (EncodingError, SimulationError) as exc:
+            raise DatasetError(f"sample {index}: {exc}") from exc
         if state.n_qubits != template.n_qubits:
             raise QubitMismatch(
-                f"encoding produced {state.n_qubits} qubits, template has {template.n_qubits}"
+                f"sample {index}: encoding produced {state.n_qubits} qubits, "
+                f"template has {template.n_qubits}"
             )
         states.append(state)
         encode_depth = depth

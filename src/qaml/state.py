@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidBitstring, QubitCountExceeded
+from .errors import InvalidBitstring, InvariantError, QubitCountExceeded
 
 #: Largest register accepted by default (16M amplitudes, ~256 MB as complex128).
 DEFAULT_MAX_QUBITS = 24
@@ -33,18 +33,18 @@ class StateVector:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
+            raise InvariantError(f"n_qubits must be positive, got {self.n_qubits}")
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         dim = 1 << self.n_qubits
         if amps.shape != (dim,):
-            raise ValueError(
+            raise InvariantError(
                 f"expected {dim} amplitudes for {self.n_qubits} qubits, got shape {amps.shape}"
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+            raise InvariantError("amplitudes must be finite")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
         if abs(norm2 - 1.0) > NORM_ATOL:
-            raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm2}")
+            raise InvariantError(f"state is not normalized: |amplitudes|^2 = {norm2}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -73,19 +73,24 @@ def bitstring_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
+def _check_register(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> None:
+    """Refuse a register above the ceiling before any amplitude is allocated."""
+    if n_qubits > max_qubits:
+        raise QubitCountExceeded(f"{n_qubits} qubits exceeds the ceiling of {max_qubits}")
+
+
 def make_basis_state(
     n_qubits: int, bits: str, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
     """Prepare the computational basis state |bits> on n_qubits qubits."""
     if n_qubits < 1:
         raise InvalidBitstring(f"n_qubits must be positive, got {n_qubits}")
-    if n_qubits > max_qubits:
-        raise QubitCountExceeded(f"{n_qubits} qubits exceeds the ceiling of {max_qubits}")
     if len(bits) != n_qubits:
         raise InvalidBitstring(
             f"bitstring {bits!r} has length {len(bits)}, expected {n_qubits}"
         )
     index = bitstring_to_index(bits)
+    _check_register(n_qubits, max_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)
