@@ -4,7 +4,8 @@ Execution starts from |0...0> and applies the gate kernel in program order,
 swapping two state buffers between ops; targets are checked when the
 `Circuit` is built, together with the register ceiling, and the state is
 validated once, on return. Every seed and shot count passes one check
-(`_check_seed`, `_check_shots`), shared with `TrainConfig` and the CLI.
+(`_check_seed`, `_check_shots`, which bounds shots by `MAX_SHOTS`), shared
+with `TrainConfig` and the CLI.
 Measurement uses the Philox counter-based generator (platform-independent)
 with inverse-CDF sampling over the cumulative probability sequence, so
 identical (inputs, seed) always reproduce identical outcomes. Every sampler
@@ -23,6 +24,10 @@ import numpy as np
 from . import gates
 from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, UnknownGate
 from .state import StateVector, _check_register, bitstrings, make_basis_state, probabilities
+
+# The shot ceiling: a float64 block of 2**25 draws is 256 MiB, the size of the
+# largest (24-qubit) state.
+MAX_SHOTS = 2**25
 
 
 @dataclass(frozen=True)
@@ -123,11 +128,13 @@ def _check_seed(seed, name: str = "seed") -> int:
 
 
 def _check_shots(shots, name: str = "shots") -> int:
-    """A shot count: a Python or numpy integer (not a bool), at least 1."""
+    """A shot count: a Python or numpy integer (not a bool) in [1, MAX_SHOTS]."""
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {shots!r}")
     if shots < 1:
         raise ConfigError(f"{name} must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ConfigError(f"{name} must be <= {MAX_SHOTS}, got {shots}")
     return int(shots)
 
 

@@ -4,11 +4,11 @@ Grammar (keywords case-insensitive, '#' starts a comment, blank lines
 ignored):
 
     program := "qubits" INT NEWLINE stmt*
-    stmt    := gate1 | rot | gate2 | "measure" "all"
-    gate1   := ("h"|"x"|"y"|"z") INT
-    rot     := ("rx"|"ry"|"rz") INT FLOAT      # radians; pi-fractions allowed
-    gate2   := "cx" INT INT                    # control target
+    stmt    := GATE INT+ [ANGLE] | "measure" "all"
 
+The gate set is read from `gates`: a GATE is any name in `GATE_ARITY`
+(h, x, y, z, rx, ry, rz, cx), followed by that many qubit indices (control
+then target for cx); the `ROTATION_GATES` take a final angle in radians.
 Angle literals accept plain decimals plus "pi", "pi/2", "-pi/4",
 "3pi/2"-style constants.
 """
@@ -21,11 +21,9 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitOp
 from .errors import ParseError
+from .gates import GATE_ARITY, ROTATION_GATES
 
 MAX_LINES = 1_000_000
-
-_SINGLE = ("h", "x", "y", "z")
-_ROT = ("rx", "ry", "rz")
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE)
 
@@ -36,64 +34,31 @@ class SourceProgram:
     origin: str = "<stdin>"
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+def _error(line_no: int, line: str, index: int, message: str) -> ParseError:
+    """A `ParseError` at word `index` of `line`. Columns are only needed
+    here, so only the failing line is scanned for them; `str.split` and
+    the regex `\\S` agree on what whitespace is."""
+    word = list(re.finditer(r"\S+", line.split("#", 1)[0]))[index]
+    return ParseError(line_no, word.start() + 1, message, word.group(0))
 
 
-def _tokenize_line(line: str, line_no: int) -> list[_Token]:
-    code = line.split("#", 1)[0]
-    return [
-        _Token(m.group(0), line_no, m.start() + 1)
-        for m in re.finditer(r"\S+", code)
-    ]
-
-
-def _error(token: _Token, message: str) -> ParseError:
-    return ParseError(token.line, token.column, message, token.text)
-
-
-def _parse_angle(token: _Token) -> float:
-    text = token.text
+def _parse_angle(text: str) -> float:
     match = _PI_RE.match(text)
     if match:
         sign = -1.0 if match.group(1) == "-" else 1.0
         coeff = float(match.group(2)) if match.group(2) else 1.0
         denom = float(match.group(3)) if match.group(3) else 1.0
         if denom == 0:
-            raise _error(token, "division by zero in angle")
+            raise ValueError("division by zero in angle")
         value = sign * coeff * math.pi / denom
     else:
         try:
             value = float(text)
         except ValueError:
-            raise _error(token, f"malformed angle literal {text!r}") from None
+            raise ValueError(f"malformed angle literal {text!r}") from None
     if not math.isfinite(value):
-        raise _error(token, f"angle must be finite, got {text!r}")
+        raise ValueError(f"angle must be finite, got {text!r}")
     return value
-
-
-def _parse_index(token: _Token, n_qubits: int) -> int:
-    try:
-        index = int(token.text)
-    except ValueError:
-        raise _error(token, f"expected a qubit index, got {token.text!r}") from None
-    if not 0 <= index < n_qubits:
-        raise _error(token, f"index {index} >= declared qubits ({n_qubits})")
-    return index
-
-
-def _expect_arity(tokens: list[_Token], count: int):
-    head = tokens[0]
-    args = tokens[1:]
-    if len(args) < count:
-        raise _error(head, f"{head.text!r} expects {count} operand(s), got {len(args)}")
-    if len(args) > count:
-        extra = args[count]
-        raise _error(extra, f"unexpected extra token {extra.text!r}")
-    return args
 
 
 def parse(program: SourceProgram | str) -> Circuit:
@@ -109,6 +74,8 @@ def parse(program: SourceProgram | str) -> Circuit:
 
 
 def _parse_lines(lines: list[str]) -> Circuit:
+    """Every gate statement takes one path: its operand count, targets and
+    angle come from `gates.GATE_ARITY` and `gates.ROTATION_GATES`."""
     if len(lines) > MAX_LINES:
         raise ParseError(MAX_LINES + 1, 1, f"program exceeds {MAX_LINES} lines", "")
 
@@ -116,53 +83,61 @@ def _parse_lines(lines: list[str]) -> Circuit:
     ops: list[CircuitOp] = []
     measure_all = False
     for line_no, line in enumerate(lines, start=1):
-        tokens = _tokenize_line(line, line_no)
-        if not tokens:
+        words = line.split("#", 1)[0].split()
+        if not words:
             continue
-        head = tokens[0]
-        keyword = head.text.lower()
-
+        keyword = words[0].lower()
+        gate = keyword.upper()
         if keyword == "qubits":
             if n_qubits is not None:
-                raise _error(head, 'duplicate "qubits" header')
-            (count,) = _expect_arity(tokens, 1)
-            try:
-                n_qubits = int(count.text)
-            except ValueError:
-                raise _error(count, f"expected a qubit count, got {count.text!r}") from None
-            if n_qubits < 1:
-                raise _error(count, f"qubit count must be positive, got {n_qubits}")
-            continue
-
-        if n_qubits is None:
-            raise _error(head, 'statement before the "qubits" header')
-
-        if keyword == "measure":
-            (what,) = _expect_arity(tokens, 1)
-            if what.text.lower() != "all":
-                raise _error(what, f'expected "all" after measure, got {what.text!r}')
-            measure_all = True
-        elif keyword in _SINGLE:
-            (target,) = _expect_arity(tokens, 1)
-            ops.append(CircuitOp(keyword.upper(), (_parse_index(target, n_qubits),)))
-        elif keyword in _ROT:
-            target, angle = _expect_arity(tokens, 2)
-            ops.append(
-                CircuitOp(
-                    keyword.upper(),
-                    (_parse_index(target, n_qubits),),
-                    _parse_angle(angle),
-                )
-            )
-        elif keyword == "cx":
-            control, target = _expect_arity(tokens, 2)
-            c = _parse_index(control, n_qubits)
-            t = _parse_index(target, n_qubits)
-            if c == t:
-                raise _error(target, "control and target must differ")
-            ops.append(CircuitOp("CX", (c, t)))
+                raise _error(line_no, line, 0, 'duplicate "qubits" header')
+            count = 1
+        elif n_qubits is None:
+            raise _error(line_no, line, 0, 'statement before the "qubits" header')
+        elif keyword == "measure":
+            count = 1
+        elif gate in GATE_ARITY:
+            count = GATE_ARITY[gate] + (gate in ROTATION_GATES)
         else:
-            raise _error(head, f"unknown mnemonic {head.text!r}")
+            raise _error(line_no, line, 0, f"unknown mnemonic {words[0]!r}")
+        if len(words) - 1 < count:
+            message = f"{words[0]!r} expects {count} operand(s), got {len(words) - 1}"
+            raise _error(line_no, line, 0, message)
+        if len(words) - 1 > count:
+            raise _error(line_no, line, count + 1, f"unexpected extra token {words[count + 1]!r}")
+
+        if keyword == "qubits":
+            try:
+                n_qubits = int(words[1])
+            except ValueError:
+                raise _error(line_no, line, 1, f"expected a qubit count, got {words[1]!r}") from None
+            if n_qubits < 1:
+                raise _error(line_no, line, 1, f"qubit count must be positive, got {n_qubits}")
+        elif keyword == "measure":
+            if words[1].lower() != "all":
+                raise _error(line_no, line, 1, f'expected "all" after measure, got {words[1]!r}')
+            measure_all = True
+        else:
+            targets = []
+            for index in range(1, GATE_ARITY[gate] + 1):
+                try:
+                    target = int(words[index])
+                except ValueError:
+                    message = f"expected a qubit index, got {words[index]!r}"
+                    raise _error(line_no, line, index, message) from None
+                if not 0 <= target < n_qubits:
+                    message = f"index {target} >= declared qubits ({n_qubits})"
+                    raise _error(line_no, line, index, message)
+                if target in targets:
+                    raise _error(line_no, line, index, "control and target must differ")
+                targets.append(target)
+            angle = None
+            if gate in ROTATION_GATES:
+                try:
+                    angle = _parse_angle(words[-1])
+                except ValueError as exc:
+                    raise _error(line_no, line, count, str(exc)) from None
+            ops.append(CircuitOp(gate, tuple(targets), angle))
 
     if n_qubits is None:
         raise ParseError(1, 1, 'missing "qubits" header', "")

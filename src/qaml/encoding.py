@@ -97,9 +97,13 @@ def encode_angle(features, axis: str = "Y") -> Circuit:
 def encode_amplitude(features) -> StateVector:
     """L2-normalize the features into amplitudes, zero-padded to 2^n.
 
-    Uses ceil(log2(len)) qubits (minimum 1); entry i is x_i / ||x||_2.
+    Uses ceil(log2(len)) qubits (minimum 1); entry i is x_i / ||x||_2. The
+    features are first scaled by a power of two that brings the largest
+    magnitude into [0.5, 1), which is exact and keeps the norm from
+    overflowing or underflowing.
     """
     values = _check_features(features)
+    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     norm = float(np.linalg.norm(values))
     if norm == 0.0:
         raise ZeroVector("amplitude encoding requires a nonzero vector")

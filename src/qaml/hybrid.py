@@ -28,6 +28,7 @@ import numpy as np
 
 from . import gates
 from .circuit import (
+    MAX_SHOTS,
     Circuit,
     CircuitOp,
     Histogram,
@@ -321,8 +322,10 @@ class TrainConfig:
                 raise ConfigError(f"fd_step must be finite and positive, got {self.fd_step}")
         elif self.fd_step is not None:
             raise ConfigError("fd_step only applies to finite_difference")
-        if self.shots < 0:
-            raise ConfigError("shots must be >= 0")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must be in [0, {MAX_SHOTS}], got {self.shots}")
+        if self.shots > 0 and self.gradient_method == "finite_difference":
+            raise ConfigError("finite_difference needs exact expectations (shots 0)")
         if not self.convergence_tol >= 0:
             raise ConfigError(f"convergence_tol must be non-negative, got {self.convergence_tol}")
 
@@ -461,7 +464,7 @@ def train(
             _, factors = _loss_and_grad_factors(
                 _readout(probs, signs, config.shots, rng), labels_arr
             )
-        if config.shots == 0 and config.gradient_method == "finite_difference":
+        if config.gradient_method == "finite_difference":
             grad = gradient(template, params, loss, "finite_difference", config.fd_step)
         else:
             grad = _shift_gradient(template, angles, factors, evaluate)

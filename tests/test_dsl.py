@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaml import CircuitOp, execute
 from qaml.dsl import SourceProgram, parse, to_dsl
@@ -77,6 +79,63 @@ MALFORMED_PROGRAMS = [
     ("x 0\nqubits 2\n", 1),                        # header not first
 ]
 
+# (line, column, message, offending_token) of each malformed program's error
+MALFORMED_ERRORS = {
+    "h 0\n": (1, 1, 'statement before the "qubits" header', "h"),
+    "qubits 2\nqubits 2\n": (2, 1, 'duplicate "qubits" header', "qubits"),
+    "qubits 2\nh 5\n": (2, 3, "index 5 >= declared qubits (2)", "5"),
+    "qubits 2\nfoo 0\n": (2, 1, "unknown mnemonic 'foo'", "foo"),
+    "qubits 2\nh\n": (2, 1, "'h' expects 1 operand(s), got 0", "h"),
+    "qubits 2\nh 0 1\n": (2, 5, "unexpected extra token '1'", "1"),
+    "qubits 2\nrx 0\n": (2, 1, "'rx' expects 2 operand(s), got 1", "rx"),
+    "qubits 2\nrx 0 abc\n": (2, 6, "malformed angle literal 'abc'", "abc"),
+    "qubits 2\nrx 0 pi/0\n": (2, 6, "division by zero in angle", "pi/0"),
+    "qubits 2\ncx 1\n": (2, 1, "'cx' expects 2 operand(s), got 1", "cx"),
+    "qubits 2\ncx 0 0\n": (2, 6, "control and target must differ", "0"),
+    "qubits 2\ncx 0 2\n": (2, 6, "index 2 >= declared qubits (2)", "2"),
+    "qubits 0\n": (1, 8, "qubit count must be positive, got 0", "0"),
+    "qubits two\n": (1, 8, "expected a qubit count, got 'two'", "two"),
+    "qubits\n": (1, 1, "'qubits' expects 1 operand(s), got 0", "qubits"),
+    "qubits 2 3\n": (1, 10, "unexpected extra token '3'", "3"),
+    "": (1, 1, 'missing "qubits" header', ""),
+    "# only a comment\n": (1, 1, 'missing "qubits" header', ""),
+    "qubits 2\nmeasure\n": (2, 1, "'measure' expects 1 operand(s), got 0", "measure"),
+    "qubits 2\nmeasure some\n": (2, 9, "expected \"all\" after measure, got 'some'", "some"),
+    "qubits 2\nh 0\ncx 0 1\nh 9\n": (4, 3, "index 9 >= declared qubits (2)", "9"),
+    "qubits 1\nh 0\nbadop 0\n": (3, 1, "unknown mnemonic 'badop'", "badop"),
+    "qubits 2\nh -1\n": (2, 3, "index -1 >= declared qubits (2)", "-1"),
+    "qubits 2\nrx 1.5 0.5\n": (2, 4, "expected a qubit index, got '1.5'", "1.5"),
+    "qubits 2\nh 0\n\nrz 0\n": (4, 1, "'rz' expects 2 operand(s), got 1", "rz"),
+    "qubits 3\nx 3\n": (2, 3, "index 3 >= declared qubits (3)", "3"),
+    "qubits 2\ncx 0 1 1\n": (2, 8, "unexpected extra token '1'", "1"),
+    "qubits 2\nrz 0 pipi\n": (2, 6, "malformed angle literal 'pipi'", "pipi"),
+    "qubits 2\nh 0\nmeasure all extra\n": (3, 13, "unexpected extra token 'extra'", "extra"),
+    "x 0\nqubits 2\n": (1, 1, 'statement before the "qubits" header', "x"),
+}
+
+# Token soup for fuzzing: words of the grammar, near misses, and separators
+# that str.split treats as whitespace (some of which also end a line).
+_WORDS = st.sampled_from(
+    ["qubits", "QUBITS", "h", "X", "y", "z", "rx", "Ry", "rz", "cx", "CX", "measure", "all",
+     "foo", "0", "1", "2", "3", "5", "-1", "+1", "00", "1.5", "two", "pi", "-pi/4", "3pi/2",
+     "pi/0", "pipi", "0.5", "-2.5e2", "nan", "1e400", "abc", "#", "h#x", "# note"]
+)
+_SPACE = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003", "\x0c", "\x85"])
+
+
+@st.composite
+def _soup_line(draw):
+    words = draw(st.lists(_WORDS, max_size=5))
+    seps = draw(st.lists(_SPACE, min_size=len(words) + 1, max_size=len(words) + 1))
+    return seps[0] + "".join(w + s for w, s in zip(words, seps[1:]))
+
+
+_SOUP_PROGRAM = st.builds(
+    lambda header, body: "\n".join(header + body),
+    st.sampled_from([[], ["qubits 3"], ["qubits 1"]]),
+    st.lists(_soup_line(), max_size=8),
+)
+
 
 class TestParseExamples:
     def test_smallest_program(self):
@@ -135,3 +194,30 @@ class TestMalformedCorpus:
         # position must address real input (or line 1 for empty programs)
         lines = text.splitlines() or [""]
         assert info.value.line <= max(len(lines), 1)
+
+
+class TestErrorFields:
+    def test_every_malformed_program_is_pinned(self):
+        assert set(MALFORMED_ERRORS) == {text for text, _ in MALFORMED_PROGRAMS}
+
+    @pytest.mark.parametrize("text,line", MALFORMED_PROGRAMS)
+    def test_error_fields(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        error = info.value
+        assert (error.line, error.column, error.message, error.offending_token) == MALFORMED_ERRORS[text]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOUP_PROGRAM)
+def test_token_soup_round_trips_or_points_at_its_token(text):
+    try:
+        circ = parse(text)
+    except ParseError as error:
+        assert error.line >= 1 and error.column >= 1
+        if error.offending_token:
+            line = text.splitlines()[error.line - 1]
+            start = error.column - 1
+            assert line[start : start + len(error.offending_token)] == error.offending_token
+    else:
+        assert parse(to_dsl(circ)) == circ

@@ -136,6 +136,16 @@ class TestAmplitudeEncoding:
         assert state.n_qubits == 2
         assert np.allclose(state.amplitudes, [w, w, w, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324, 1e308])
+    def test_extreme_magnitudes_normalize(self, scale):
+        state = encode_amplitude([scale, -scale])
+        assert state.amplitudes.tolist() == [0.7071067811865475, -0.7071067811865475]
+
+    def test_power_of_two_scaling_keeps_the_bits(self):
+        raw = np.array([1.2, 2.7, 1.1, 0.5]) * 1e150
+        expected = raw / np.linalg.norm(raw)
+        assert encode_amplitude(raw).amplitudes.real.tobytes() == expected.tobytes()
+
     def test_rejects_zero_vector(self):
         with pytest.raises(ZeroVector):
             encode_amplitude([0.0, 0.0])

@@ -126,6 +126,13 @@ class TestShots:
     def test_numpy_integer_shots_accepted(self):
         assert sample(Circuit(1, ()), np.int64(3), 1) == sample(Circuit(1, ()), 3, 1)
 
+    def test_ceiling(self, monkeypatch):
+        assert circuit_mod._check_shots(circuit_mod.MAX_SHOTS) == 2**25
+        monkeypatch.setattr(circuit_mod, "execute", None)  # checked before anything runs
+        for shots in (circuit_mod.MAX_SHOTS + 1, 10**20):
+            with pytest.raises(errors.ConfigError, match="shots must be <= 33554432"):
+                sample(Circuit(1, ()), shots, 1)
+
 
 class TestRegisterCeiling:
     # the check runs before any amplitude is allocated, so these allocate nothing
@@ -207,6 +214,23 @@ class TestCli:
     def test_usage_errors_exit_4(self, files, argv):
         argv = [files["program"] if a == "PROGRAM" else a for a in argv]
         assert_fails(argv, 4, "config error: qaml")
+
+    def test_shots_above_the_ceiling_exit_4(self, files):
+        assert_fails(["run", files["program"], "--shots", str(10**20)], 4, "config error: --shots must be <=")
+
+    @pytest.mark.parametrize(
+        "config",
+        ['{"shots": 4000000000}', '{"shots": 3, "gradient_method": "finite_difference"}'],
+    )
+    def test_rejected_training_configs_exit_4(self, files, tmp_path, config):
+        files["config"] = write(tmp_path / "shots.json", config)
+        assert_fails(self.train_argv(files), 4, "config error: ")
+
+    @pytest.mark.parametrize("values", ["1e200,1e200", "1e-170,1e-170", "5e-324,5e-324", "1e308,-1e308"])
+    def test_extreme_amplitude_inputs_encode(self, values):
+        code, out, err = call(["encode", "--method", "amplitude", "--input", values])
+        assert (code, err) == (0, "")
+        assert [abs(e["re"]) for e in json.loads(out)] == [0.7071067811865475] * 2
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

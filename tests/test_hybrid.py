@@ -287,6 +287,19 @@ class TestTrainConfig:
         config = TrainConfig(seed=np.uint64(7), shots=np.int64(5), max_iterations=np.int32(2))
         assert (config.seed, config.shots, config.max_iterations) == (7, 5, 2)
 
+    def test_shot_ceiling(self):
+        assert TrainConfig(shots=0).shots == 0
+        assert TrainConfig(shots=2**25).shots == 2**25
+        with pytest.raises(ConfigError, match="shots must be in"):
+            TrainConfig(shots=2**25 + 1)
+        with pytest.raises(ConfigError, match="shots must be in"):
+            TrainConfig.from_json('{"shots": 4000000000}')
+
+    def test_finite_difference_needs_exact_expectations(self):
+        with pytest.raises(ConfigError, match="finite_difference"):
+            TrainConfig(gradient_method="finite_difference", shots=1)
+        assert TrainConfig(gradient_method="finite_difference", shots=0).shots == 0
+
 
 class TestTrain:
     def single_sample_task(self):
