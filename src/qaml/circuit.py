@@ -1,11 +1,12 @@
 """Circuit intermediate representation, execution, and basis measurement.
 
-Execution starts from |0...0> and applies the gate kernel in program order,
-swapping two state buffers between ops; targets are checked when the
-`Circuit` is built, together with the register ceiling, and the state is
-validated once, on return. Every seed and shot count passes one check
-(`_check_seed`, `_check_shots`, which bounds shots by `MAX_SHOTS`), shared
-with `TrainConfig` and the CLI.
+`_run` is the one op loop: it applies the gate kernel in program order to a
+batch-last `(2^n, batch)` buffer, swapping two buffers between ops. `execute`
+runs it on a |0...0> column and `hybrid` on a batch of encoded samples.
+Targets are checked when the `Circuit` is built, together with the register
+ceiling, and the state is validated once, on return. Every seed and shot
+count passes one check (`_check_seed`, `_check_shots`, which bounds shots by
+`MAX_SHOTS`), shared with `TrainConfig` and the CLI.
 Measurement uses the Philox counter-based generator (platform-independent)
 with inverse-CDF sampling over the cumulative probability sequence, so
 identical (inputs, seed) always reproduce identical outcomes. Every sampler
@@ -98,22 +99,29 @@ class Histogram:
         return json.dumps({"shots": self.shots, "counts": self.counts}, sort_keys=True)
 
 
-def execute(circuit: Circuit) -> StateVector:
-    """Run the circuit from |0...0> and return the final state."""
-    n = circuit.n_qubits
-    src = np.zeros((1 << n, 1), dtype=np.complex128)
-    src[0] = 1.0
+def _run(src: np.ndarray, ops, angles) -> np.ndarray:
+    """The one op loop: apply `ops` at `angles` to the batch-last buffer `src`
+    (consumed), swapping it and one scratch buffer after every op."""
     out = np.empty_like(src)
-    for index, op in enumerate(circuit.ops):
+    for index, (op, angle) in enumerate(zip(ops, angles)):
         try:
-            matrix = gates.op_matrix(op.gate_name, op.angle)
+            matrix = gates.op_matrix(op.gate_name, angle)
         except QamlError as exc:
             exc.op_index = index
             exc.args = (f"op {index} ({op.gate_name}): {exc}",)
             raise
         gates.apply_gate_tensor(src, out, matrix, op.targets)
         src, out = out, src
-    del out  # free the scratch buffer before the state is validated
+    return src
+
+
+def execute(circuit: Circuit) -> StateVector:
+    """Run the circuit from |0...0> and return the final state."""
+    n = circuit.n_qubits
+    src = np.zeros((1 << n, 1), dtype=np.complex128)
+    src[0] = 1.0
+    # rebinding `src` frees the scratch buffer before the state is validated
+    src = _run(src, circuit.ops, [op.angle for op in circuit.ops])
     return StateVector(n, src.reshape(-1))
 
 

@@ -10,7 +10,8 @@ The gate set is read from `gates`: a GATE is any name in `GATE_ARITY`
 (h, x, y, z, rx, ry, rz, cx), followed by that many qubit indices (control
 then target for cx); the `ROTATION_GATES` take a final angle in radians.
 Angle literals accept plain decimals plus "pi", "pi/2", "-pi/4",
-"3pi/2"-style constants.
+"3pi/2"-style constants. Numbers are ASCII and take no `_` separators,
+although `int` and `float` would read both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from .gates import GATE_ARITY, ROTATION_GATES
 
 MAX_LINES = 1_000_000
 
-_PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE)
+_PI_RE = re.compile(
+    r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE | re.ASCII
+)
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,14 @@ def _error(line_no: int, line: str, index: int, message: str) -> ParseError:
     return ParseError(line_no, word.start() + 1, message, word.group(0))
 
 
+def _literal(word: str) -> str:
+    """`word`, unless it is outside the INT and FLOAT grammar in a way that
+    `int` and `float` forgive: non-ASCII digits or `_` separators."""
+    if not word.isascii() or "_" in word:
+        raise ValueError(word)
+    return word
+
+
 def _parse_angle(text: str) -> float:
     match = _PI_RE.match(text)
     if match:
@@ -53,7 +64,7 @@ def _parse_angle(text: str) -> float:
         value = sign * coeff * math.pi / denom
     else:
         try:
-            value = float(text)
+            value = float(_literal(text))
         except ValueError:
             raise ValueError(f"malformed angle literal {text!r}") from None
     if not math.isfinite(value):
@@ -108,7 +119,7 @@ def _parse_lines(lines: list[str]) -> Circuit:
 
         if keyword == "qubits":
             try:
-                n_qubits = int(words[1])
+                n_qubits = int(_literal(words[1]))
             except ValueError:
                 raise _error(line_no, line, 1, f"expected a qubit count, got {words[1]!r}") from None
             if n_qubits < 1:
@@ -121,11 +132,14 @@ def _parse_lines(lines: list[str]) -> Circuit:
             targets = []
             for index in range(1, GATE_ARITY[gate] + 1):
                 try:
-                    target = int(words[index])
+                    target = int(_literal(words[index]))
                 except ValueError:
                     message = f"expected a qubit index, got {words[index]!r}"
                     raise _error(line_no, line, index, message) from None
-                if not 0 <= target < n_qubits:
+                if target < 0:
+                    message = f"qubit index must be non-negative, got {target}"
+                    raise _error(line_no, line, index, message)
+                if target >= n_qubits:
                     message = f"index {target} >= declared qubits ({n_qubits})"
                     raise _error(line_no, line, index, message)
                 if target in targets:

@@ -2,8 +2,9 @@
 
 `apply_gate_tensor` is the one kernel: it applies a 2x2 or 4x4 unitary to a
 batch-last `(2^n, batch)` buffer in O(2^n * batch) time, writing into a
-second buffer the caller owns, and `apply_gate`, `circuit.execute` and the
-batched ansatz pass in `hybrid` all call it with matrices from `op_matrix`.
+second buffer the caller owns. `apply_gate` and the one op loop,
+`circuit._run` (behind `execute` and `hybrid`'s batched ansatz pass), are
+its only callers, and feed it matrices from `op_matrix`.
 Its results are bit-identical to the batch-first contraction kernel it
 replaced, which `tests/test_kernel_oracle.py` keeps as its oracle: every
 path runs the same BLAS zgemm arithmetic or, for CX, copies that give the

@@ -9,11 +9,12 @@ by gradient descent.
 
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
 (`AnsatzOp` is another name for `CircuitOp`). Angle encoding runs through
-`circuit.execute`; the ansatz pass advances every sample together through the
-same kernel, `gates.apply_gate_tensor`, as the columns of a batch-last
-`(2^n, batch)` buffer, swapping two buffers between ops. In shot mode
-the readout takes one block of draws for all samples, the same stream as
-drawing sample by sample, and `train` runs the unshifted ansatz pass once per
+`circuit.execute`, and the ansatz pass runs the encoded samples, the columns
+of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
+`_Objective` holds that batch, the Z signs and the labels; `loss_value`,
+`gradient` and `train` take the loss and its gradients from it. A shot
+readout takes one block of draws for all samples, the same stream as drawing
+sample by sample, and `train` runs the unshifted ansatz pass once per
 iteration, reading it for the loss and again for the gradient.
 """
 
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gates
 from .circuit import (
     MAX_SHOTS,
     Circuit,
@@ -36,6 +37,7 @@ from .circuit import (
     _check_op,
     _check_seed,
     _rng,
+    _run,
     execute,
     sample_state,
 )
@@ -159,39 +161,16 @@ class LossSpec:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation: all sample states advance through the ansatz together.
-
-
-def _batch_tensor(states: tuple[StateVector, ...]) -> np.ndarray:
-    """The states as the columns of one C-contiguous `(2**n, batch)` buffer."""
-    return np.stack([s.amplitudes for s in states], axis=1)
+# The objective: all sample states advance through the ansatz together.
 
 
 def _bound_angles(template: AnsatzTemplate, params: np.ndarray) -> list:
-    return [
-        op.angle if op.param is None else float(params[op.param])
-        for op in template.ops
-    ]
+    return [op.angle if op.param is None else float(params[op.param]) for op in template.ops]
 
 
 def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
-    """The batch after the bound ansatz; `tensor` is left as it is.
-
-    The pass works in two buffers, swapped after every op."""
-    src, out = np.array(tensor, order="C"), np.empty(tensor.shape, dtype=np.complex128)
-    for op, angle in zip(template.ops, angles):
-        gates.apply_gate_tensor(src, out, gates.op_matrix(op.gate_name, angle), op.targets)
-        src, out = out, src
-    return src
-
-
-def _batch_probs(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
-    """Outcome probabilities after the ansatz, one C-contiguous row per
-    sample: the row layout fixes the summation order of `_readout`."""
-    amps = _run_ansatz(tensor, template, angles).T
-    probs = np.square(amps.real, order="C")
-    probs += np.square(amps.imag)
-    return probs
+    """The batch after the bound ansatz; `tensor` is left as it is."""
+    return _run(np.array(tensor, order="C"), template.ops, angles)
 
 
 def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
@@ -213,20 +192,77 @@ def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> 
     return (shots - 2.0 * n_minus) / shots
 
 
-def _loss_and_grad_factors(expectations: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    m = expectations.size
-    if labels is None:
-        return float(expectations.mean()), np.full(m, 1.0 / m)
-    residual = expectations - np.asarray(labels, dtype=np.float64)
-    return float(np.mean(residual**2)), 2.0 * residual / m
+class _Objective:
+    """The loss of `loss_spec`'s readout after `template`, on one batch.
+
+    The encoded states are stacked once, as the columns of a C-contiguous
+    `(2**n, batch)` buffer, next to the readout's Z signs and the labels.
+    With `shots` > 0 every readout takes fresh draws from `rng`."""
+
+    def __init__(self, template: AnsatzTemplate, loss_spec: LossSpec, shots: int = 0, rng=None):
+        for index, state in enumerate(loss_spec.inputs):
+            if state.n_qubits != template.n_qubits:
+                raise QubitMismatch(
+                    f"sample {index}: encoding produced {state.n_qubits} qubits, "
+                    f"template has {template.n_qubits}"
+                )
+        self.template = template
+        self.tensor = np.stack([s.amplitudes for s in loss_spec.inputs], axis=1)
+        self.signs = _z_signs(template.n_qubits, loss_spec.qubit)
+        self.labels = None if loss_spec.labels is None else np.asarray(loss_spec.labels)
+        self.shots, self.rng = shots, rng
+
+    def probs(self, angles: list) -> np.ndarray:
+        """Outcome probabilities after the ansatz, one C-contiguous row per
+        sample: the row layout fixes the summation order of `_readout`."""
+        amps = _run_ansatz(self.tensor, self.template, angles).T
+        probs = np.square(amps.real, order="C")
+        probs += np.square(amps.imag)
+        return probs
+
+    def loss(self, probs: np.ndarray) -> tuple[float, np.ndarray]:
+        """The loss read out from `probs`, and its derivative with respect to
+        each sample's expectation."""
+        exps = _readout(probs, self.signs, self.shots, self.rng)
+        m = exps.size
+        if self.labels is None:
+            return float(exps.mean()), np.full(m, 1.0 / m)
+        residual = exps - self.labels
+        return float(np.mean(residual**2)), 2.0 * residual / m
+
+    def shift_gradient(self, angles: list, factors: np.ndarray) -> np.ndarray:
+        """Parameter-shift gradient at the bound `angles`, given the loss
+        `factors` of the unshifted pass: a +pi/2 and a -pi/2 pass per
+        parameterized op, in template order."""
+        d_exps = np.zeros((self.template.n_params, factors.size))
+        for op_idx, op in enumerate(self.template.ops):
+            if op.param is None:
+                continue
+            for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
+                shifted = list(angles)
+                shifted[op_idx] += delta
+                d_exps[op.param] += sign * _readout(
+                    self.probs(shifted), self.signs, self.shots, self.rng
+                )
+        return d_exps @ factors
+
+    def fd_gradient(self, params: np.ndarray, step: float) -> np.ndarray:
+        """Central differences of the loss, one parameter at a time."""
+        grad = np.empty(self.template.n_params)
+        for j in range(self.template.n_params):
+            hi, lo = params.copy(), params.copy()
+            hi[j] += step
+            lo[j] -= step
+            grad[j] = (self._value(hi) - self._value(lo)) / (2.0 * step)
+        return grad
+
+    def _value(self, params: np.ndarray) -> float:
+        return self.loss(self.probs(_bound_angles(self.template, params)))[0]
 
 
 def loss_value(template: AnsatzTemplate, params, loss: LossSpec) -> float:
     params = _check_params(template, params)
-    tensor = _batch_tensor(loss.inputs)
-    signs = _z_signs(template.n_qubits, loss.qubit)
-    exps = _readout(_batch_probs(tensor, template, _bound_angles(template, params)), signs)
-    return _loss_and_grad_factors(exps, loss.labels)[0]
+    return _Objective(template, loss)._value(params)
 
 
 def gradient(
@@ -245,42 +281,11 @@ def gradient(
     params = _check_params(template, params)
     if method not in GRADIENT_METHODS:
         raise ConfigError(f"unknown gradient method {method!r}")
+    objective = _Objective(template, loss)
     if method == "finite_difference":
-        grad = np.empty(template.n_params)
-        for j in range(template.n_params):
-            hi, lo = params.copy(), params.copy()
-            hi[j] += fd_step
-            lo[j] -= fd_step
-            grad[j] = (loss_value(template, hi, loss) - loss_value(template, lo, loss)) / (
-                2.0 * fd_step
-            )
-        return grad
-
-    tensor = _batch_tensor(loss.inputs)
-    signs = _z_signs(template.n_qubits, loss.qubit)
-
-    def evaluate(angles):
-        return _readout(_batch_probs(tensor, template, angles), signs)
-
+        return objective.fd_gradient(params, fd_step)
     angles = _bound_angles(template, params)
-    _, factors = _loss_and_grad_factors(evaluate(angles), loss.labels)
-    return _shift_gradient(template, angles, factors, evaluate)
-
-
-def _shift_gradient(template: AnsatzTemplate, angles: list, factors, evaluate) -> np.ndarray:
-    """Parameter-shift gradient at the bound `angles`, given the loss factors
-    of the unshifted pass and `evaluate(angles)`, which returns one
-    expectation per sample: a +pi/2 and a -pi/2 pass per parameterized op,
-    in template order."""
-    d_exps = np.zeros((template.n_params, factors.size))
-    for op_idx, op in enumerate(template.ops):
-        if op.param is None:
-            continue
-        for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
-            shifted = list(angles)
-            shifted[op_idx] += delta
-            d_exps[op.param] += sign * evaluate(shifted)
-    return d_exps @ factors
+    return objective.shift_gradient(angles, objective.loss(objective.probs(angles))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +309,14 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("learning_rate", "convergence_tol", "fd_step"):
+            value = getattr(self, name)
+            if value is None and name == "fd_step":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.hadamard_layer, bool):
+            raise ConfigError(f"hadamard_layer must be true or false, got {self.hadamard_layer!r}")
         object.__setattr__(self, "seed", _check_seed(self.seed))
         # the range checks are negated so that NaN fails them, and bounded by
         # the largest float so that an integer too large for a float fails them
@@ -405,55 +418,34 @@ def train(
     """Gradient-descent training of the ansatz angles against +/-1 labels.
 
     Exact-expectation mode (shots=0) is fully deterministic; sampled mode
-    draws shot noise from the seeded generator. A sample that cannot be
-    encoded raises `DatasetError`.
+    draws shot noise from the seeded generator. Empty data, a bad label or a
+    sample that cannot be encoded raises a `DatasetError`.
     """
-    data = list(data)
-    if not data:
-        raise EmptyDataset("training data must be non-empty")
     labels = []
     states = []
-    encode_depth = 0
     for index, (features, label) in enumerate(data):
         if label not in (-1, 1):
             raise EmptyDataset(f"label must be -1 or +1, got {label}")
         labels.append(float(label))
         try:
-            state, depth = _encode_sample(features, encoding, config.hadamard_layer)
+            state, encode_depth = _encode_sample(features, encoding, config.hadamard_layer)
         except (EncodingError, SimulationError) as exc:
             raise DatasetError(f"sample {index}: {exc}") from exc
-        if state.n_qubits != template.n_qubits:
-            raise QubitMismatch(
-                f"sample {index}: encoding produced {state.n_qubits} qubits, "
-                f"template has {template.n_qubits}"
-            )
         states.append(state)
-        encode_depth = depth
-
-    tensor = _batch_tensor(tuple(states))
-    signs = _z_signs(template.n_qubits, 0)
-    labels_arr = np.asarray(labels)
-    loss = LossSpec(tuple(states), tuple(labels), qubit=0)
-
-    if initial_params is None:
-        params = np.zeros(template.n_params)
-    else:
-        params = _check_params(template, initial_params)
 
     rng = _rng(config.seed) if config.shots > 0 else None
+    objective = _Objective(template, LossSpec(tuple(states), tuple(labels)), config.shots, rng)
 
-    def evaluate(angles):
-        return _readout(_batch_probs(tensor, template, angles), signs, config.shots, rng)
+    params = np.zeros(template.n_params) if initial_params is None else initial_params
+    params = _check_params(template, params)
 
     trace: list[float] = []
     converged = False
     prev = None
     for _ in range(config.max_iterations):
         angles = _bound_angles(template, params)
-        probs = _batch_probs(tensor, template, angles)
-        value, factors = _loss_and_grad_factors(
-            _readout(probs, signs, config.shots, rng), labels_arr
-        )
+        probs = objective.probs(angles)
+        value, factors = objective.loss(probs)
         trace.append(value)
         if prev is not None and abs(value - prev) < config.convergence_tol:
             converged = True
@@ -461,18 +453,17 @@ def train(
         prev = value
         if config.shots > 0:
             # the gradient's loss factors take fresh draws from the same state
-            _, factors = _loss_and_grad_factors(
-                _readout(probs, signs, config.shots, rng), labels_arr
-            )
+            _, factors = objective.loss(probs)
         if config.gradient_method == "finite_difference":
-            grad = gradient(template, params, loss, "finite_difference", config.fd_step)
+            grad = objective.fd_gradient(params, config.fd_step)
         else:
-            grad = _shift_gradient(template, angles, factors, evaluate)
+            grad = objective.shift_gradient(angles, factors)
         params = params - config.learning_rate * grad
 
     final_histogram = None
     if config.shots > 0:
-        amps = _run_ansatz(tensor[:, :1], template, _bound_angles(template, params)).reshape(-1)
+        angles = _bound_angles(template, params)
+        amps = _run_ansatz(objective.tensor[:, :1], template, angles).reshape(-1)
         final_state = StateVector(template.n_qubits, amps / np.linalg.norm(amps))
         final_histogram = sample_state(final_state, config.shots, config.seed)
 

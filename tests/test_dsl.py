@@ -45,7 +45,7 @@ VALID_PROGRAMS = [
     "qubits 1\nh 0\nh 0\nh 0\n",
 ]
 
-# 30 malformed programs with the line number the error must name
+# 37 malformed programs with the line number the error must name
 MALFORMED_PROGRAMS = [
     ("h 0\n", 1),                                  # statement before header
     ("qubits 2\nqubits 2\n", 2),                   # duplicate header
@@ -77,6 +77,13 @@ MALFORMED_PROGRAMS = [
     ("qubits 2\nrz 0 pipi\n", 2),                  # garbled pi literal
     ("qubits 2\nh 0\nmeasure all extra\n", 3),     # extra after measure all
     ("x 0\nqubits 2\n", 1),                        # header not first
+    ("qubits 2\nh 1_0\n", 2),                      # digit separator in an index
+    ("qubits 2\nx \u0661\n", 2),                   # Arabic-Indic digit index
+    ("qubits 2\nry 1 \uff15\n", 2),                # fullwidth digit angle
+    ("qubits 2\nrx 0 1_0.5\n", 2),                 # digit separator in an angle
+    ("qubits \u0663\n", 1),                        # Arabic-Indic digit count
+    ("qubits 2\nrz 0 \u0663pi\n", 2),              # Arabic-Indic digit pi multiple
+    ("qubits 2\nry 0 p\u0131\n", 2),               # dotless i in pi
 ]
 
 # (line, column, message, offending_token) of each malformed program's error
@@ -103,7 +110,7 @@ MALFORMED_ERRORS = {
     "qubits 2\nmeasure some\n": (2, 9, "expected \"all\" after measure, got 'some'", "some"),
     "qubits 2\nh 0\ncx 0 1\nh 9\n": (4, 3, "index 9 >= declared qubits (2)", "9"),
     "qubits 1\nh 0\nbadop 0\n": (3, 1, "unknown mnemonic 'badop'", "badop"),
-    "qubits 2\nh -1\n": (2, 3, "index -1 >= declared qubits (2)", "-1"),
+    "qubits 2\nh -1\n": (2, 3, "qubit index must be non-negative, got -1", "-1"),
     "qubits 2\nrx 1.5 0.5\n": (2, 4, "expected a qubit index, got '1.5'", "1.5"),
     "qubits 2\nh 0\n\nrz 0\n": (4, 1, "'rz' expects 2 operand(s), got 1", "rz"),
     "qubits 3\nx 3\n": (2, 3, "index 3 >= declared qubits (3)", "3"),
@@ -111,6 +118,13 @@ MALFORMED_ERRORS = {
     "qubits 2\nrz 0 pipi\n": (2, 6, "malformed angle literal 'pipi'", "pipi"),
     "qubits 2\nh 0\nmeasure all extra\n": (3, 13, "unexpected extra token 'extra'", "extra"),
     "x 0\nqubits 2\n": (1, 1, 'statement before the "qubits" header', "x"),
+    "qubits 2\nh 1_0\n": (2, 3, "expected a qubit index, got '1_0'", "1_0"),
+    "qubits 2\nx \u0661\n": (2, 3, "expected a qubit index, got '\u0661'", "\u0661"),
+    "qubits 2\nry 1 \uff15\n": (2, 6, "malformed angle literal '\uff15'", "\uff15"),
+    "qubits 2\nrx 0 1_0.5\n": (2, 6, "malformed angle literal '1_0.5'", "1_0.5"),
+    "qubits \u0663\n": (1, 8, "expected a qubit count, got '\u0663'", "\u0663"),
+    "qubits 2\nrz 0 \u0663pi\n": (2, 6, "malformed angle literal '\u0663pi'", "\u0663pi"),
+    "qubits 2\nry 0 p\u0131\n": (2, 6, "malformed angle literal 'p\u0131'", "p\u0131"),
 }
 
 # Token soup for fuzzing: words of the grammar, near misses, and separators
@@ -118,7 +132,8 @@ MALFORMED_ERRORS = {
 _WORDS = st.sampled_from(
     ["qubits", "QUBITS", "h", "X", "y", "z", "rx", "Ry", "rz", "cx", "CX", "measure", "all",
      "foo", "0", "1", "2", "3", "5", "-1", "+1", "00", "1.5", "two", "pi", "-pi/4", "3pi/2",
-     "pi/0", "pipi", "0.5", "-2.5e2", "nan", "1e400", "abc", "#", "h#x", "# note"]
+     "pi/0", "pipi", "0.5", "-2.5e2", "nan", "1e400", "abc", "#", "h#x", "# note",
+     "1_0", "\u0661", "\uff15", "p\u0131"]
 )
 _SPACE = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003", "\x0c", "\x85"])
 

@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from qaml import (
@@ -29,6 +32,7 @@ from qaml import (
 from qaml.errors import (
     ConfigError,
     EmptyDataset,
+    NonFiniteAngle,
     NonFiniteParam,
     ParamCountMismatch,
     QubitMismatch,
@@ -214,6 +218,36 @@ class TestGradient:
         with pytest.raises(ConfigError):
             gradient(RY_TEMPLATE, [0.0], self.expectation_loss(), "adjoint")
 
+    def test_overflowing_angle_names_its_op(self):
+        big = sys.float_info.max
+        loss = self.expectation_loss()
+        message = r"^op 0 \(RY\): rotation angle must be finite"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteAngle, match=message):
+            gradient(RY_TEMPLATE, [big], loss, "finite_difference", fd_step=big)
+
+
+class TestLossSpecQubitCount:
+    """A loss input whose width differs from the template's is named, not
+    left to fail inside numpy."""
+
+    CALLS = {
+        "loss_value": lambda loss: loss_value(RY_TEMPLATE, [0.3], loss),
+        "parameter_shift": lambda loss: gradient(RY_TEMPLATE, [0.3], loss),
+        "finite_difference": lambda loss: gradient(RY_TEMPLATE, [0.3], loss, "finite_difference"),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_input_wider_than_template(self, call):
+        loss = LossSpec((make_basis_state(3, "000"),), (1.0,))
+        with pytest.raises(QubitMismatch, match="sample 0: encoding produced 3 qubits, template has 1"):
+            self.CALLS[call](loss)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_inputs_of_different_widths(self, call):
+        loss = LossSpec((make_basis_state(1, "0"), make_basis_state(2, "00")), (1.0, -1.0))
+        with pytest.raises(QubitMismatch, match="sample 1: encoding produced 2 qubits, template has 1"):
+            self.CALLS[call](loss)
+
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -299,6 +333,82 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="finite_difference"):
             TrainConfig(gradient_method="finite_difference", shots=1)
         assert TrainConfig(gradient_method="finite_difference", shots=0).shots == 0
+
+    @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
+    def test_hadamard_layer_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match="hadamard_layer must be true or false"):
+            TrainConfig.from_json(f'{{"hadamard_layer": {value}}}')
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (field, value)
+            for field in ("learning_rate", "convergence_tol", "fd_step")
+            for value in ("true", "false", "null", '"0.1"', "[0.1]")
+            if (field, value) != ("fd_step", "null")  # a null fd_step takes its default
+        ],
+    )
+    def test_float_fields_must_be_numbers(self, field, value):
+        text = f'{{"gradient_method": "finite_difference", "{field}": {value}}}'
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            TrainConfig.from_json(text)
+
+    def test_integer_floats_accepted(self):
+        config = TrainConfig.from_json(
+            '{"learning_rate": 1, "convergence_tol": 0, "gradient_method": "finite_difference", '
+            '"fd_step": 1, "hadamard_layer": true}'
+        )
+        assert (config.learning_rate, config.convergence_tol, config.fd_step) == (1, 0, 1)
+        assert config.hadamard_layer is True
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Declared type of each TrainConfig field, as a predicate.
+_FIELD_TYPES = {
+    "learning_rate": _is_real,
+    "max_iterations": lambda v: type(v) is int,
+    "gradient_method": lambda v: type(v) is str,
+    "fd_step": lambda v: v is None or _is_real(v),
+    "shots": lambda v: type(v) is int,
+    "seed": lambda v: type(v) is int,
+    "convergence_tol": _is_real,
+    "hadamard_layer": lambda v: type(v) is bool,
+}
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([1e300, -1e300, 1e-300, 5e-324, -5e-324, 2**25 + 1, 2**64, 10**400]),
+    st.text(max_size=4),
+    st.sampled_from(["parameter_shift", "finite_difference", "false", "0.1"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+_CONFIG_TEXT = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(_FIELD_TYPES) + ["momentum"]), _JSON_VALUES, max_size=8)
+    .map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CONFIG_TEXT)
+def test_config_from_json_is_typed_or_a_config_error(text):
+    try:
+        config = TrainConfig.from_json(text)
+    except ConfigError:
+        return
+    for name, has_type in _FIELD_TYPES.items():
+        assert has_type(getattr(config, name)), (name, getattr(config, name))
 
 
 class TestTrain:
