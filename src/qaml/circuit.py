@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, UnknownGate
-from .state import StateVector, _check_register, bitstrings, make_basis_state, probabilities
+from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, TargetOutOfRange, UnknownGate
+from .state import StateVector, _check_register, _integer, bitstrings, make_basis_state, probabilities
 
 # The shot ceiling: a float64 block of 2**25 draws is 256 MiB, the size of the
 # largest (24-qubit) state.
@@ -44,7 +44,8 @@ class CircuitOp:
     def __post_init__(self):
         name = self.gate_name.upper()
         object.__setattr__(self, "gate_name", name)
-        object.__setattr__(self, "targets", tuple(gates._qubit_index(t) for t in self.targets))
+        targets = tuple(_integer(t, "qubit index", TargetOutOfRange) for t in self.targets)
+        object.__setattr__(self, "targets", targets)
         if name in gates.ROTATION_GATES:
             if (self.angle is None) == (self.param is None):
                 raise NonFiniteAngle(f"{name} op needs exactly one of angle or param slot")
@@ -72,9 +73,7 @@ class Circuit:
     measure_all: bool = False
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise InvariantError(f"n_qubits must be positive, got {self.n_qubits}")
-        _check_register(self.n_qubits)
+        object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
         ops = tuple(self.ops)
         for op in ops:
             _check_op(op, self.n_qubits)
@@ -127,9 +126,7 @@ def execute(circuit: Circuit) -> StateVector:
 
 def _check_seed(seed, name: str = "seed") -> int:
     """A Philox key: a Python or numpy integer (not a bool) in [0, 2**64)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {seed!r}")
-    seed = int(seed)
+    seed = _integer(seed, name, ConfigError)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
     return seed
@@ -137,13 +134,12 @@ def _check_seed(seed, name: str = "seed") -> int:
 
 def _check_shots(shots, name: str = "shots") -> int:
     """A shot count: a Python or numpy integer (not a bool) in [1, MAX_SHOTS]."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {shots!r}")
+    shots = _integer(shots, name, ConfigError)
     if shots < 1:
         raise ConfigError(f"{name} must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ConfigError(f"{name} must be <= {MAX_SHOTS}, got {shots}")
-    return int(shots)
+    return shots
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -26,7 +26,7 @@ from . import encoding as encoding_mod
 from . import hybrid
 from .dsl import SourceProgram, parse, to_dsl
 from .errors import ConfigError, DatasetError, EncodingError, ParseError, QamlError, SimulationError
-from .state import StateVector, bitstrings
+from .state import StateVector, bitstrings, probabilities
 
 # The exit code and stderr prefix of each error group, in the order checked.
 # A parse error with a position is shown as "prog.q:line 3, column 1: ...".
@@ -88,8 +88,7 @@ def _parse_file(path: str):
 
 def _state_entries(state: StateVector, threshold: float) -> list[dict]:
     """One entry per basis state whose probability is not below `threshold`."""
-    amps = state.amplitudes
-    probs = amps.real**2 + amps.imag**2
+    amps, probs = state.amplitudes, probabilities(state)
     # "not below" rather than ">=", so a NaN threshold keeps every entry
     kept = np.flatnonzero(~(probs < threshold))
     return [
@@ -162,10 +161,7 @@ def cmd_train(args) -> int:
         raise DatasetError("each row needs features plus a label")
     n_features = len(rows[0]) - 1
     spec = encoding_mod.EncodingSpec(args.encoding, args.axis.upper())
-    if spec.method == "amplitude":
-        n_qubits = max(int(np.ceil(np.log2(n_features))), 1)
-    else:
-        n_qubits = n_features
+    n_qubits = encoding_mod._amplitude_qubits(n_features) if spec.method == "amplitude" else n_features
     data = [(row[:-1], row[-1]) for row in rows]
     report = hybrid.train(default_ansatz(n_qubits), data, spec, config)
     with _file_errors(args.out, ConfigError), open(args.out, "w", encoding="utf-8") as handle:

@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitOp
-from .errors import ParseError
-from .gates import GATE_ARITY, ROTATION_GATES
+from .errors import DuplicateTarget, ParseError, TargetOutOfRange
+from .gates import GATE_ARITY, ROTATION_GATES, _check_target
 
 MAX_LINES = 1_000_000
 
@@ -132,19 +132,12 @@ def _parse_lines(lines: list[str]) -> Circuit:
             targets = []
             for index in range(1, GATE_ARITY[gate] + 1):
                 try:
-                    target = int(_literal(words[index]))
+                    targets.append(_check_target(int(_literal(words[index])), targets, n_qubits))
                 except ValueError:
                     message = f"expected a qubit index, got {words[index]!r}"
                     raise _error(line_no, line, index, message) from None
-                if target < 0:
-                    message = f"qubit index must be non-negative, got {target}"
-                    raise _error(line_no, line, index, message)
-                if target >= n_qubits:
-                    message = f"index {target} >= declared qubits ({n_qubits})"
-                    raise _error(line_no, line, index, message)
-                if target in targets:
-                    raise _error(line_no, line, index, "control and target must differ")
-                targets.append(target)
+                except (TargetOutOfRange, DuplicateTarget) as exc:
+                    raise _error(line_no, line, index, str(exc)) from None
             angle = None
             if gate in ROTATION_GATES:
                 try:

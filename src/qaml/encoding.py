@@ -47,8 +47,6 @@ class EncodingSpec:
 
 def encode_basis(bits: str) -> StateVector:
     """|bits>: each classical bit mapped directly onto one qubit."""
-    if not bits:
-        raise InvalidBitstring("empty bitstring")
     return make_basis_state(len(bits), bits)
 
 
@@ -94,6 +92,11 @@ def encode_angle(features, axis: str = "Y") -> Circuit:
     return Circuit(len(values), ops)
 
 
+def _amplitude_qubits(n_features: int) -> int:
+    """Qubits that hold `n_features` amplitudes: ceil(log2(n_features)), at least 1."""
+    return max(math.ceil(math.log2(n_features)), 1)
+
+
 def encode_amplitude(features) -> StateVector:
     """L2-normalize the features into amplitudes, zero-padded to 2^n.
 
@@ -107,8 +110,7 @@ def encode_amplitude(features) -> StateVector:
     norm = float(np.linalg.norm(values))
     if norm == 0.0:
         raise ZeroVector("amplitude encoding requires a nonzero vector")
-    n_qubits = max(math.ceil(math.log2(values.size)), 1)
-    _check_register(n_qubits)
+    n_qubits = _check_register(_amplitude_qubits(values.size))
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[: values.size] = values / norm
     return StateVector(n_qubits, amps)

@@ -114,3 +114,7 @@ class QubitMismatch(DatasetError):
 
 class EmptyDataset(DatasetError):
     pass
+
+
+class InvalidLabel(DatasetError):
+    pass

@@ -30,7 +30,7 @@ from .errors import (
     TargetOutOfRange,
     UnknownGate,
 )
-from .state import StateVector
+from .state import StateVector, _integer
 
 UNITARITY_ATOL = 1e-12
 
@@ -155,24 +155,27 @@ def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     return GateMatrix(name, GATE_ARITY[name], matrix, None if angle is None else float(angle))
 
 
-def _qubit_index(target) -> int:
-    """A qubit index as an int: Python and numpy integers only, not bools
-    and not floats, which `int` would silently truncate."""
-    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
-        raise TargetOutOfRange(f"qubit index must be an integer, got {target!r}")
-    return int(target)
+def _check_target(target, earlier, n_qubits: int) -> int:
+    """One qubit target as an int: an integer, non-negative, below `n_qubits`
+    and not among the `earlier` targets of its op, checked in that order."""
+    target = _integer(target, "qubit index", TargetOutOfRange)
+    if target < 0:
+        raise TargetOutOfRange(f"qubit index must be non-negative, got {target}")
+    if target >= n_qubits:
+        raise TargetOutOfRange(f"index {target} >= declared qubits ({n_qubits})")
+    if target in earlier:
+        raise DuplicateTarget("control and target must differ")
+    return target
 
 
 def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
-    targets = tuple(_qubit_index(t) for t in targets)
+    targets = tuple(targets)
     if len(targets) != arity:
         raise ArityMismatch(f"gate acts on {arity} qubit(s), got targets {targets}")
-    if len(set(targets)) != len(targets):
-        raise DuplicateTarget(f"duplicate qubit index in targets {targets}")
-    for t in targets:
-        if not 0 <= t < n_qubits:
-            raise TargetOutOfRange(f"qubit index {t} outside [0, {n_qubits})")
-    return targets
+    checked = ()
+    for target in targets:
+        checked += (_check_target(target, checked, n_qubits),)
+    return checked
 
 
 # A one-qubit gate on qubit q runs as one zgemm per (2, cols) block of the

@@ -48,14 +48,15 @@ from .errors import (
     EmptyDataset,
     EncodingError,
     InvalidBitstring,
+    InvalidLabel,
     InvariantError,
     NonFiniteParam,
     ParamCountMismatch,
     QubitMismatch,
     SimulationError,
-    TargetOutOfRange,
 )
-from .state import StateVector, make_basis_state, probabilities
+from .gates import _check_target
+from .state import StateVector, _check_register, _integer, make_basis_state, probabilities
 
 SHIFT = math.pi / 2.0
 
@@ -76,8 +77,8 @@ class AnsatzTemplate:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n_qubits < 1:
-            raise InvariantError("n_qubits must be positive")
+        object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
+        object.__setattr__(self, "n_params", _integer(self.n_params, "n_params", InvariantError))
         if self.n_params < 0:
             raise InvariantError("n_params must be non-negative")
         used = set()
@@ -125,8 +126,7 @@ def diffusion(state: StateVector) -> StateVector:
 
 
 def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
-    if not 0 <= qubit < n_qubits:
-        raise TargetOutOfRange(f"qubit index {qubit} outside [0, {n_qubits})")
+    qubit = _check_target(qubit, (), n_qubits)
     bits = (np.arange(1 << n_qubits) >> (n_qubits - 1 - qubit)) & 1
     return 1.0 - 2.0 * bits
 
@@ -305,10 +305,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("max_iterations", "shots"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
         for name in ("learning_rate", "convergence_tol", "fd_step"):
             value = getattr(self, name)
             if value is None and name == "fd_step":
@@ -424,8 +421,8 @@ def train(
     labels = []
     states = []
     for index, (features, label) in enumerate(data):
-        if label not in (-1, 1):
-            raise EmptyDataset(f"label must be -1 or +1, got {label}")
+        if isinstance(label, (bool, np.bool_)) or label not in (-1, 1):
+            raise InvalidLabel(f"label must be -1 or +1, got {label}")
         labels.append(float(label))
         try:
             state, encode_depth = _encode_sample(features, encoding, config.hadamard_layer)

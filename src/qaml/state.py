@@ -32,8 +32,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise InvariantError(f"n_qubits must be positive, got {self.n_qubits}")
+        object.__setattr__(self, "n_qubits", _check_register(self.n_qubits, max_qubits=None))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         dim = 1 << self.n_qubits
         if amps.shape != (dim,):
@@ -42,7 +41,7 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InvariantError("amplitudes must be finite")
-        norm2 = float(np.sum(amps.real**2 + amps.imag**2))
+        norm2 = norm_squared(amps)
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise InvariantError(f"state is not normalized: |amplitudes|^2 = {norm2}")
         amps.setflags(write=False)
@@ -73,24 +72,34 @@ def bitstring_to_index(bits: str) -> int:
     return int(bits, 2)
 
 
-def _check_register(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> None:
-    """Refuse a register above the ceiling before any amplitude is allocated."""
-    if n_qubits > max_qubits:
+def _integer(value, name: str, error) -> int:
+    """`value` as an int if it is a Python or numpy integer, not a bool; else `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_register(n_qubits, max_qubits: int | None = DEFAULT_MAX_QUBITS) -> int:
+    """A register size as an int: an integer >= 1 and, before anything is allocated, at
+    most `max_qubits` (None for a `StateVector`, whose amplitudes already exist)."""
+    n_qubits = _integer(n_qubits, "n_qubits", InvariantError)
+    if n_qubits < 1:
+        raise InvariantError(f"n_qubits must be positive, got {n_qubits}")
+    if max_qubits is not None and n_qubits > max_qubits:
         raise QubitCountExceeded(f"{n_qubits} qubits exceeds the ceiling of {max_qubits}")
+    return n_qubits
 
 
 def make_basis_state(
     n_qubits: int, bits: str, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
     """Prepare the computational basis state |bits> on n_qubits qubits."""
-    if n_qubits < 1:
-        raise InvalidBitstring(f"n_qubits must be positive, got {n_qubits}")
     if len(bits) != n_qubits:
         raise InvalidBitstring(
             f"bitstring {bits!r} has length {len(bits)}, expected {n_qubits}"
         )
     index = bitstring_to_index(bits)
-    _check_register(n_qubits, max_qubits)
+    n_qubits = _check_register(n_qubits, max_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)

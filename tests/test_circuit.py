@@ -19,7 +19,7 @@ from qaml import (
     sample_state,
 )
 from qaml.circuit import _draw_indices
-from qaml.errors import ConfigError, NonFiniteAngle, TargetOutOfRange
+from qaml.errors import ConfigError, NonFiniteAngle, SimulationError, TargetOutOfRange
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -71,6 +71,18 @@ class TestCircuitConstruction:
             CircuitOp("H", (target,))
         with pytest.raises(TargetOutOfRange, match="must be an integer"):
             CircuitOp("CX", (0, target))
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (CircuitOp("H", (-1,)), "qubit index must be non-negative, got -1"),
+            (CircuitOp("H", (5,)), "index 5 >= declared qubits \\(2\\)"),
+            (CircuitOp("CX", (1, 1)), "control and target must differ"),
+        ],
+    )
+    def test_target_messages_match_the_dsl(self, op, message):
+        with pytest.raises(SimulationError, match=message):
+            Circuit(2, (op,))
 
     def test_numpy_integer_targets_accepted(self):
         op = CircuitOp("CX", (np.int64(1), np.uint8(0)))

@@ -15,7 +15,7 @@ from qaml import (
     norm_squared,
     probabilities,
 )
-from qaml.encoding import read_feature_rows
+from qaml.encoding import _amplitude_qubits, read_feature_rows
 from qaml.errors import (
     DuplicateBasisState,
     EmptyInput,
@@ -121,6 +121,12 @@ class TestAmplitudeEncoding:
         assert factor == pytest.approx(3.19218, abs=1e-5)
         assert np.allclose(state.amplitudes, np.array(raw) / factor, atol=1e-12)
         assert abs(norm_squared(state) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n, n_qubits", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (200, 8)])
+    def test_register_size(self, n, n_qubits):
+        # `qaml train --encoding amplitude` builds its ansatz on the same count
+        assert _amplitude_qubits(n) == n_qubits
+        assert encode_amplitude(np.ones(n)).n_qubits == n_qubits
 
     def test_single_value(self):
         state = encode_amplitude([1])

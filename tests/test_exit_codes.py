@@ -92,6 +92,12 @@ class TestTaxonomy:
             (lambda: Histogram(0, {}), errors.ConfigError),
             (lambda: EncodingSpec("fourier"), errors.ConfigError),
             (lambda: AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=0),), 2), errors.SimulationError),
+            # register sizes and parameter counts that are not integers
+            (lambda: StateVector(2.0, [1, 0, 0, 0]), errors.SimulationError),
+            (lambda: Circuit(2.0, (CircuitOp("H", (0,)),)), errors.SimulationError),
+            (lambda: Circuit(True, (CircuitOp("H", (0,)),)), errors.SimulationError),
+            (lambda: AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=0),), 1.5), errors.SimulationError),
+            (lambda: make_basis_state(2.0, "00"), errors.SimulationError),
         ],
     )
     def test_former_value_errors_are_grouped(self, build, group):

@@ -168,6 +168,10 @@ class TestApplyGate:
         with pytest.raises(ArityMismatch):
             apply_gate(make_basis_state(2, "00"), gate_cx(), [0])
 
+    def test_arity_is_checked_before_the_targets(self):
+        with pytest.raises(ArityMismatch):
+            apply_gate(make_basis_state(2, "00"), gate_h(), [0.5, 7])
+
 
 class TestDenseUnitaryOracle:
     def test_single_qubit_full_register(self):

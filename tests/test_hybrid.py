@@ -32,6 +32,7 @@ from qaml import (
 from qaml.errors import (
     ConfigError,
     EmptyDataset,
+    InvalidLabel,
     NonFiniteAngle,
     NonFiniteParam,
     ParamCountMismatch,
@@ -174,6 +175,11 @@ class TestExpectationZ:
         with pytest.raises(TargetOutOfRange):
             expectation_z(make_basis_state(1, "0"), 1)
 
+    def test_bool_qubit(self):
+        # True == 1, so it used to read qubit 1
+        with pytest.raises(TargetOutOfRange, match="qubit index must be an integer, got True"):
+            expectation_z(make_basis_state(2, "01"), True)
+
 
 class TestGradient:
     def expectation_loss(self):
@@ -240,6 +246,12 @@ class TestLossSpecQubitCount:
     def test_input_wider_than_template(self, call):
         loss = LossSpec((make_basis_state(3, "000"),), (1.0,))
         with pytest.raises(QubitMismatch, match="sample 0: encoding produced 3 qubits, template has 1"):
+            self.CALLS[call](loss)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_float_readout_qubit(self, call):
+        loss = LossSpec((make_basis_state(1, "0"),), (1.0,), qubit=0.5)
+        with pytest.raises(TargetOutOfRange, match="qubit index must be an integer, got 0.5"):
             self.CALLS[call](loss)
 
     @pytest.mark.parametrize("call", CALLS)
@@ -536,8 +548,14 @@ class TestTrain:
             train(RY_TEMPLATE, [], EncodingSpec("angle"), TrainConfig())
 
     def test_bad_label(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(InvalidLabel):
             train(RY_TEMPLATE, [([0.1], 0)], EncodingSpec("angle"), TrainConfig())
+
+    @pytest.mark.parametrize("label", [True, np.True_])
+    def test_bool_label(self, label):
+        # True == 1, so a bool label used to train as +1
+        with pytest.raises(InvalidLabel, match="label must be -1 or \\+1, got True"):
+            train(RY_TEMPLATE, [([0.1], label)], EncodingSpec("angle"), TrainConfig())
 
 
 class TestTrainReport:
