@@ -75,7 +75,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
         ops = tuple(self.ops)
-        for op in ops:
+        for op in {id(op): op for op in ops}.values():  # each op object once
             _check_op(op, self.n_qubits)
             if op.param is not None:
                 raise NonFiniteAngle(f"{op.gate_name} op has unbound parameter slot p{op.param}")

@@ -12,6 +12,10 @@ then target for cx); the `ROTATION_GATES` take a final angle in radians.
 Angle literals accept plain decimals plus "pi", "pi/2", "-pi/4",
 "3pi/2"-style constants. Numbers are ASCII and take no `_` separators,
 although `int` and `float` would read both.
+
+A gate statement whose upper-cased mnemonic and operand tokens already parsed
+reuses that frozen `CircuitOp` (interning) and skips its checks; a hit follows
+a successful parse of the same tokens, so errors are those of a first parse.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ def _parse_lines(lines: list[str]) -> Circuit:
 
     n_qubits = None
     ops: list[CircuitOp] = []
+    interned: dict[tuple[str, ...], CircuitOp] = {}  # (GATE, *operand tokens) -> its op
     measure_all = False
     for line_no, line in enumerate(lines, start=1):
         words = line.split("#", 1)[0].split()
@@ -99,6 +104,10 @@ def _parse_lines(lines: list[str]) -> Circuit:
             continue
         keyword = words[0].lower()
         gate = keyword.upper()
+        key = (gate, *words[1:])
+        if key in interned:  # these tokens already parsed under this header
+            ops.append(interned[key])
+            continue
         if keyword == "qubits":
             if n_qubits is not None:
                 raise _error(line_no, line, 0, 'duplicate "qubits" header')
@@ -144,7 +153,8 @@ def _parse_lines(lines: list[str]) -> Circuit:
                     angle = _parse_angle(words[-1])
                 except ValueError as exc:
                     raise _error(line_no, line, count, str(exc)) from None
-            ops.append(CircuitOp(gate, tuple(targets), angle))
+            interned[key] = CircuitOp(gate, tuple(targets), angle)
+            ops.append(interned[key])
 
     if n_qubits is None:
         raise ParseError(1, 1, 'missing "qubits" header', "")

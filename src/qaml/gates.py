@@ -16,6 +16,7 @@ only ever materialized by the small-instance test oracle `dense_unitary`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,6 +80,7 @@ FIXED_MATRICES = {
     "Z": _constant([[1, 0], [0, -1]]),
     "CX": _constant([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
 }
+_ZERO = _constant(0.0)  # a 0-d array spares `np.add` converting a Python scalar per call
 
 
 def gate_h() -> GateMatrix:
@@ -186,40 +188,34 @@ MATMUL_MIN_COLS = 32
 MATMUL_MAX_BLOCKS = 32
 
 
-def _cx(src: np.ndarray, out: np.ndarray, control: int, target: int) -> None:
-    """CX as three permuted slice copies. Adding 0.0 turns -0.0 into +0.0,
-    as the zgemm of the permutation matrix does outside remainder columns."""
-    dim, batch = src.shape
-    lo, hi = sorted((control, target))
-    shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, (dim >> (hi + 1)) * batch)
-    src, out = src.reshape(shape), out.reshape(shape)
-    c_axis, t_axis = (1, 3) if control < target else (3, 1)
+@functools.lru_cache(maxsize=1024)
+def _layout(dim: int, batch: int, targets: tuple[int, ...], is_cx: bool) -> tuple:
+    """How `apply_gate_tensor` runs a gate on `targets` of a `(dim, batch)`
+    buffer, worked out once per key: `("matmul", shape, None)`, `("cx", shape,
+    (source, destination) slice pairs)` or `("staged", tensor_shape, (perm,
+    staged_shape, rows, inverse))`."""
+    if len(targets) == 1:
+        q = targets[0]
+        cols = (dim >> (q + 1)) * batch
+        if cols % 4 == 0 and (cols >= MATMUL_MIN_COLS or (1 << q) <= MATMUL_MAX_BLOCKS):
+            return "matmul", (1 << q, 2, cols), None
+    elif is_cx and (dim >> 2) * batch % 4 == 0:
+        lo, hi = sorted(targets)
+        shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, (dim >> (hi + 1)) * batch)
+        c_axis, t_axis = (1, 3) if targets[0] < targets[1] else (3, 1)
 
-    def at(c_bit, t_bit=slice(None)):
-        index = [slice(None)] * 5
-        index[c_axis], index[t_axis] = c_bit, t_bit
-        return tuple(index)
+        def at(c_bit, t_bit=slice(None)):
+            index = [slice(None)] * 5
+            index[c_axis], index[t_axis] = c_bit, t_bit
+            return tuple(index)
 
-    np.add(src[at(0)], 0.0, out=out[at(0)])
-    np.add(src[at(1, 1)], 0.0, out=out[at(1, 0)])
-    np.add(src[at(1, 0)], 0.0, out=out[at(1, 1)])
-
-
-def _staged(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
-    """The batch-first contraction: stage the amplitudes in `out` with the
-    target axes first, then the batch, then the other qubits, multiply into
-    `src` with one zgemm and copy the product back into `out`."""
-    dim, batch = src.shape
+        return "cx", shape, ((at(0), at(0)), (at(1, 1), at(1, 0)), (at(1, 0), at(1, 1)))
     n = dim.bit_length() - 1
     perm = (*targets, n, *(k for k in range(n) if k not in targets))
     tensor_shape = (2,) * n + (batch,)
-    staged = out.reshape(tuple(tensor_shape[k] for k in perm))
-    np.copyto(staged, src.reshape(tensor_shape).transpose(perm))
-    product = src.reshape(staged.shape)
-    rows = 1 << len(targets)
-    np.dot(matrix, staged.reshape(rows, -1), out=product.reshape(rows, -1))
-    inverse = sorted(range(n + 1), key=perm.__getitem__)
-    np.copyto(out.reshape(tensor_shape), product.transpose(inverse))
+    inverse = tuple(sorted(range(n + 1), key=perm.__getitem__))
+    staged_shape = tuple(tensor_shape[k] for k in perm)
+    return "staged", tensor_shape, (perm, staged_shape, (1 << len(targets), -1), inverse)
 
 
 def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
@@ -229,7 +225,8 @@ def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targ
     `(2**n, batch)` complex128 buffers, one column per state (batch-last);
     `src` is scratch and holds garbage afterwards. Targets are not checked
     here (control first for CX): callers pass targets already checked
-    against the register.
+    against the register. The path and its shapes come from the layout
+    cache `_layout`, so each op costs only its numpy calls.
 
     Results are bit-identical to the contraction this kernel replaced: one
     zgemm of the gate with the state staged as `(2**arity, N)`, target axes
@@ -237,20 +234,23 @@ def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targ
     same zgemm arithmetic per column, and a column's bits depend only on
     whether BLAS treats it as a remainder column (the last N mod 4). A
     one-qubit gate on qubit q is one zgemm per block of the `(2**q, 2, cols)`
-    view when no block has remainder columns; CX is a permutation (`_cx`)
-    when the staged product has none; everything else is `_staged`.
+    view when no block has remainder columns; CX is a permutation when the
+    staged product has none; everything else is staged.
     """
-    dim, batch = src.shape
-    if len(targets) == 1:
-        q = targets[0]
-        cols = (dim >> (q + 1)) * batch
-        if cols % 4 == 0 and (cols >= MATMUL_MIN_COLS or (1 << q) <= MATMUL_MAX_BLOCKS):
-            np.matmul(matrix, src.reshape(1 << q, 2, cols), out=out.reshape(1 << q, 2, cols))
-            return
-    elif matrix is FIXED_MATRICES["CX"] and (dim >> 2) * batch % 4 == 0:
-        _cx(src, out, *targets)
-        return
-    _staged(src, out, matrix, targets)
+    path, shape, layout = _layout(*src.shape, tuple(targets), matrix is FIXED_MATRICES["CX"])
+    if path == "matmul":
+        np.matmul(matrix, src.reshape(shape), out=out.reshape(shape))
+    elif path == "cx":
+        # adding zero turns -0.0 into +0.0, as the permutation matrix's zgemm does
+        src, out = src.reshape(shape), out.reshape(shape)
+        for source, destination in layout:
+            np.add(src[source], _ZERO, out=out[destination])
+    else:
+        # stage in `out`, multiply into `src`, copy the product back to `out`
+        perm, staged_shape, rows, inverse = layout
+        out.reshape(staged_shape)[...] = src.reshape(shape).transpose(perm)
+        np.dot(matrix, out.reshape(rows), out=src.reshape(rows))
+        out.reshape(shape)[...] = src.reshape(staged_shape).transpose(inverse)
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:

@@ -399,7 +399,7 @@ def _encode_sample(
     # basis and superposition both read a single 0/1 feature row as one label
     bits = []
     for v in features:
-        if v not in (0.0, 1.0):
+        if isinstance(v, (bool, np.bool_)) or v not in (0.0, 1.0):
             raise InvalidBitstring(f"{encoding.method} encoding requires 0/1 features, got {v}")
         bits.append("1" if v else "0")
     return make_basis_state(len(bits), "".join(bits)), 0

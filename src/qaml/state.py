@@ -94,12 +94,12 @@ def make_basis_state(
     n_qubits: int, bits: str, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
     """Prepare the computational basis state |bits> on n_qubits qubits."""
+    index = bitstring_to_index(bits)
+    n_qubits = _check_register(n_qubits, max_qubits)
     if len(bits) != n_qubits:
         raise InvalidBitstring(
             f"bitstring {bits!r} has length {len(bits)}, expected {n_qubits}"
         )
-    index = bitstring_to_index(bits)
-    n_qubits = _check_register(n_qubits, max_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)

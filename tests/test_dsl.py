@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaml import CircuitOp, execute
+from qaml import Circuit, CircuitOp, execute
 from qaml.dsl import SourceProgram, parse, to_dsl
-from qaml.errors import ParseError
+from qaml.errors import NonFiniteAngle, ParseError, TargetOutOfRange
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -236,3 +236,77 @@ def test_token_soup_round_trips_or_points_at_its_token(text):
             assert line[start : start + len(error.offending_token)] == error.offending_token
     else:
         assert parse(to_dsl(circ)) == circ
+
+
+# Statements for the interning tests: each spelling of a statement and the op
+# it must parse to. `0.0` and `-0.0` compare equal but must keep their sign.
+_SPELLINGS = [
+    (("h 0", "H 0", "\th  0 # again"), CircuitOp("H", (0,))),
+    (("cx 0 1", "CX 0 1", "cX 0 1"), CircuitOp("CX", (0, 1))),
+    (("cx 1 0", "Cx 1 0"), CircuitOp("CX", (1, 0))),
+    (("rx 1 pi/2", "RX 1 1.5707963267948966", "rX 1 PI/2"), CircuitOp("RX", (1,), math.pi / 2)),
+    (("rz 0 0.0", "RZ 0 0"), CircuitOp("RZ", (0,), 0.0)),
+    (("rz 0 -0.0", "Rz 0 -0.0"), CircuitOp("RZ", (0,), -0.0)),
+]
+# malformed statements and the word their error points at
+_MALFORMED = [("h 5", 1), ("cx 0 0", 2), ("rx 0 pi/0", 2), ("ry 1 abc", 2)]
+
+_PICKS = st.lists(
+    st.tuples(st.integers(0, len(_SPELLINGS) - 1), st.integers(0, 2)), min_size=1, max_size=40
+)
+
+
+def _program(picks):
+    lines, expected = [], []
+    for statement, spelling in picks:
+        spellings, op = _SPELLINGS[statement]
+        lines.append(spellings[spelling % len(spellings)])
+        expected.append(op)
+    return lines, expected
+
+
+def _token_key(line):
+    words = line.split("#", 1)[0].split()
+    return (words[0].upper(), *words[1:])
+
+
+class TestInterning:
+    @settings(max_examples=100, deadline=None)
+    @given(_PICKS)
+    def test_repeated_statements_parse_to_fresh_ops(self, picks):
+        lines, expected = _program(picks)
+        ops = parse("\n".join(["qubits 2"] + lines)).ops
+        assert ops == tuple(expected)
+        for op, want in zip(ops, expected):
+            if want.angle is not None:
+                assert math.copysign(1.0, op.angle) == math.copysign(1.0, want.angle)
+        shared = {}
+        for line, op in zip(lines, ops):
+            assert shared.setdefault(_token_key(line), op) is op
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PICKS, st.sampled_from(_MALFORMED), st.integers(0, 40), st.integers(0, 3))
+    def test_a_repeated_bad_line_fails_at_its_first_occurrence(self, picks, bad, at, indent):
+        lines, _ = _program(picks)
+        statement, word = bad
+        at = min(at, len(lines))
+        lines[at:at] = [" " * indent + statement, statement]
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(["qubits 2"] + lines + [statement]))
+        column = indent + 1 + sum(len(w) + 1 for w in statement.split()[:word])
+        assert (info.value.line, info.value.column) == (at + 2, column)
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            (CircuitOp("CX", (0, 5)), TargetOutOfRange),
+            (CircuitOp("H", (2,)), TargetOutOfRange),
+            (CircuitOp("RY", (0,), param=0), NonFiniteAngle),
+        ],
+    )
+    def test_a_circuit_checks_a_bad_op_next_to_a_repeated_one(self, bad, error):
+        good = CircuitOp("H", (0,))
+        with pytest.raises(error):
+            Circuit(2, (good, good, bad, good))
+        with pytest.raises(error):
+            Circuit(2, (bad, good, bad))

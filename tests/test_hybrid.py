@@ -31,7 +31,9 @@ from qaml import (
 )
 from qaml.errors import (
     ConfigError,
+    DatasetError,
     EmptyDataset,
+    InvalidBitstring,
     InvalidLabel,
     NonFiniteAngle,
     NonFiniteParam,
@@ -556,6 +558,14 @@ class TestTrain:
         # True == 1, so a bool label used to train as +1
         with pytest.raises(InvalidLabel, match="label must be -1 or \\+1, got True"):
             train(RY_TEMPLATE, [([0.1], label)], EncodingSpec("angle"), TrainConfig())
+
+    @pytest.mark.parametrize("method", ["basis", "superposition"])
+    @pytest.mark.parametrize("feature", [True, np.True_, False])
+    def test_bool_feature(self, method, feature):
+        # True == 1.0, so a bool feature used to encode as the bit 1
+        with pytest.raises(DatasetError, match="requires 0/1 features") as info:
+            train(RY_TEMPLATE, [([feature], 1)], EncodingSpec(method), TrainConfig(max_iterations=1))
+        assert isinstance(info.value.__cause__, InvalidBitstring)
 
 
 class TestTrainReport:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaml import Circuit, CircuitOp, execute
+from qaml import Circuit, CircuitOp, execute, gates
 from qaml.gates import GATE_ARITY, ROTATION_GATES, op_matrix
 from qaml.hybrid import AnsatzTemplate, _run_ansatz
 
@@ -137,3 +137,23 @@ def test_run_ansatz_leaves_its_input_alone():
     ops = (CircuitOp("H", (2,)), CircuitOp("CX", (0, 2)), CircuitOp("RY", (1,), 0.3))
     _run_ansatz(tensor, AnsatzTemplate(3, ops, 0), [op.angle for op in ops])
     np.testing.assert_array_equal(bits(tensor), bits(before))
+
+
+def test_layout_cache_tells_batches_registers_and_target_orders_apart():
+    # One cache serves every call in a process: a key without the batch
+    # width, the register size or the target order would hand a later call
+    # the layout of an earlier one.
+    gates._layout.cache_clear()
+    rng = np.random.default_rng(11)
+    cases = [
+        (3, 4, [CircuitOp("H", (2,))]),
+        (3, 3, [CircuitOp("H", (2,))]),
+        (2, 4, [CircuitOp("RY", (0,), 0.3)]),
+        (4, 4, [CircuitOp("RY", (0,), 0.3)]),
+        (3, 4, [CircuitOp("CX", (0, 1)), CircuitOp("CX", (1, 0))]),
+        (4, 1, [CircuitOp("H", (0,)), CircuitOp("CX", (0, 1)), CircuitOp("CX", (1, 0))]),
+    ]
+    for n, batch, ops in cases:
+        assert_ansatz_matches(input_rows("random", batch, 1 << n, rng), ops)
+        circuit = Circuit(n, tuple(ops))
+        np.testing.assert_array_equal(bits(execute(circuit).amplitudes), bits(oracle_execute(circuit)))

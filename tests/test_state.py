@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qaml import StateVector, make_basis_state, norm_squared, probabilities
-from qaml.errors import InvalidBitstring, QubitCountExceeded
+from qaml.errors import InvalidBitstring, InvariantError, QubitCountExceeded
 
 
 class TestMakeBasisState:
@@ -29,6 +29,11 @@ class TestMakeBasisState:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidBitstring):
             make_basis_state(3, "01")
+
+    def test_register_rule_comes_before_the_length(self):
+        # the length test used to run first: "bitstring '00' has length 2, expected 2.5"
+        with pytest.raises(InvariantError, match="n_qubits must be an integer, got 2.5"):
+            make_basis_state(2.5, "00")
 
     def test_rejects_above_ceiling(self):
         with pytest.raises(QubitCountExceeded):
