@@ -3,10 +3,10 @@
 `_run` is the one op loop: it applies the gate kernel in program order to a
 batch-last `(2^n, batch)` buffer, swapping two buffers between ops. `execute`
 runs it on a |0...0> column and `hybrid` on a batch of encoded samples.
-Targets are checked when the `Circuit` is built, together with the register
-ceiling, and the state is validated once, on return. Every seed and shot
-count passes one check (`_check_seed`, `_check_shots`, which bounds shots by
-`MAX_SHOTS`), shared with `TrainConfig` and the CLI.
+Ops pass `gates._check_gate` when built and `_check_ops` (targets) in a
+`Circuit`, so `_run` only looks up matrices; the state is checked on return.
+Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
+which bounds shots by `MAX_SHOTS`), shared with `TrainConfig` and the CLI.
 Measurement uses the Philox counter-based generator (platform-independent)
 with inverse-CDF sampling over the cumulative probability sequence, so
 identical (inputs, seed) always reproduce identical outcomes. Every sampler
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, TargetOutOfRange, UnknownGate
+from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, TargetOutOfRange
 from .state import StateVector, _check_register, _integer, bitstrings, make_basis_state, probabilities
 
 # The shot ceiling: a float64 block of 2**25 draws is 256 MiB, the size of the
@@ -44,24 +44,20 @@ class CircuitOp:
     def __post_init__(self):
         name = self.gate_name.upper()
         object.__setattr__(self, "gate_name", name)
+        object.__setattr__(self, "angle", gates._check_gate(name, self.angle, self.param))
         targets = tuple(_integer(t, "qubit index", TargetOutOfRange) for t in self.targets)
         object.__setattr__(self, "targets", targets)
-        if name in gates.ROTATION_GATES:
-            if (self.angle is None) == (self.param is None):
-                raise NonFiniteAngle(f"{name} op needs exactly one of angle or param slot")
-        elif self.angle is not None or self.param is not None:
-            raise NonFiniteAngle(f"{name} op takes neither angle nor param slot")
 
     def to_gate(self) -> gates.GateMatrix:
         return gates.gate_from_name(self.gate_name, self.angle)
 
 
-def _check_op(op: CircuitOp, n_qubits: int) -> None:
-    """The op names a known gate and its targets fit an n-qubit register."""
-    arity = gates.GATE_ARITY.get(op.gate_name)
-    if arity is None:
-        raise UnknownGate(f"unknown gate {op.gate_name!r}")
-    gates._check_targets(op.targets, arity, n_qubits)
+def _check_ops(ops, n_qubits: int) -> list[CircuitOp]:
+    """The distinct op objects of `ops`, their targets checked once each."""
+    distinct = list({id(op): op for op in ops}.values())
+    for op in distinct:
+        gates._check_targets(op.targets, gates.GATE_ARITY[op.gate_name], n_qubits)
+    return distinct
 
 
 @dataclass(frozen=True)
@@ -74,12 +70,10 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
-        ops = tuple(self.ops)
-        for op in {id(op): op for op in ops}.values():  # each op object once
-            _check_op(op, self.n_qubits)
+        object.__setattr__(self, "ops", tuple(self.ops))
+        for op in _check_ops(self.ops, self.n_qubits):
             if op.param is not None:
                 raise NonFiniteAngle(f"{op.gate_name} op has unbound parameter slot p{op.param}")
-        object.__setattr__(self, "ops", ops)
 
 
 @dataclass(frozen=True)

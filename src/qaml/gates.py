@@ -4,7 +4,7 @@
 batch-last `(2^n, batch)` buffer in O(2^n * batch) time, writing into a
 second buffer the caller owns. `apply_gate` and the one op loop,
 `circuit._run` (behind `execute` and `hybrid`'s batched ansatz pass), are
-its only callers, and feed it matrices from `op_matrix`.
+its only callers, fed by `op_matrix`, a lookup for ops checked when built.
 Its results are bit-identical to the batch-first contraction kernel it
 replaced, which `tests/test_kernel_oracle.py` keeps as its oracle: every
 path runs the same BLAS zgemm arithmetic or, for CX, copies that give the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,13 +100,6 @@ def gate_z() -> GateMatrix:
     return gate_from_name("Z")
 
 
-def _check_angle(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise NonFiniteAngle(f"rotation angle must be finite, got {theta}")
-    return theta
-
-
 def rotation_matrix(name: str, theta: float) -> np.ndarray:
     """Raw 2x2 rotation matrix about the named axis, angle in radians."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
@@ -136,25 +130,44 @@ def gate_cx() -> GateMatrix:
     return gate_from_name("CX")
 
 
-def op_matrix(name: str, angle: float | None = None) -> np.ndarray:
-    """Raw matrix of an upper-case mnemonic: the shared constant of a fixed
-    gate, or a fresh rotation matrix after the finite-angle check."""
-    if name in ROTATION_GATES:
-        if angle is None:
-            raise NonFiniteAngle(f"rotation gate {name} requires an angle")
-        return rotation_matrix(name, _check_angle(angle))
-    if angle is not None:
-        raise UnknownGate(f"gate {name} does not take an angle")
-    if name not in FIXED_MATRICES:
+def _check_gate(name: str, angle=None, param=None) -> float | None:
+    """The op rule: a known mnemonic; a rotation takes exactly one of a real
+    angle (not a bool) and an integer slot, a fixed gate neither."""
+    if name not in GATE_ARITY:
         raise UnknownGate(f"unknown gate {name!r}")
-    return FIXED_MATRICES[name]
+    if name in ROTATION_GATES:
+        if (angle is None) == (param is None):
+            raise NonFiniteAngle(f"{name} op needs exactly one of angle or param slot")
+    elif angle is not None or param is not None:
+        raise NonFiniteAngle(f"{name} op takes neither angle nor param slot")
+    if param is not None:
+        _integer(param, "parameter slot", InvariantError)
+    if angle is None:
+        return None
+    # `float` first: the `numbers.Real` check alone costs about 0.5 us
+    if isinstance(angle, bool) or not isinstance(angle, (float, numbers.Real)):
+        raise NonFiniteAngle(f"rotation angle must be a real number, got {angle!r}")
+    try:
+        return float(angle)
+    except OverflowError:
+        raise NonFiniteAngle(f"rotation angle must be finite, got {angle}") from None
+
+
+def op_matrix(name: str, angle: float | None = None) -> np.ndarray:
+    """Raw matrix of an op that passed `_check_gate`: the shared constant of
+    a fixed gate, or a fresh rotation matrix if the angle is finite."""
+    if angle is None:
+        return FIXED_MATRICES[name]
+    if not math.isfinite(angle):
+        raise NonFiniteAngle(f"rotation angle must be finite, got {angle}")
+    return rotation_matrix(name, angle)
 
 
 def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     """Build a gate from its mnemonic, with the angle for rotation gates."""
     name = name.upper()
-    matrix = op_matrix(name, angle)
-    return GateMatrix(name, GATE_ARITY[name], matrix, None if angle is None else float(angle))
+    angle = _check_gate(name, angle)
+    return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle)
 
 
 def _check_target(target, earlier, n_qubits: int) -> int:

@@ -8,7 +8,9 @@ it with mean squared error against the label, and updates the ansatz angles
 by gradient descent.
 
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
-(`AnsatzOp` is another name for `CircuitOp`). Angle encoding runs through
+(`AnsatzOp` is another name for `CircuitOp`). `AnsatzTemplate` checks their
+targets with `circuit._check_ops`, as `Circuit` does, so the op loop only
+looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 `circuit.execute`, and the ansatz pass runs the encoded samples, the columns
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
 `_Objective` holds that batch, the Z signs and the labels; `loss_value`,
@@ -34,7 +36,7 @@ from .circuit import (
     CircuitOp,
     Histogram,
     _cdf,
-    _check_op,
+    _check_ops,
     _check_seed,
     _rng,
     _run,
@@ -81,16 +83,12 @@ class AnsatzTemplate:
         object.__setattr__(self, "n_params", _integer(self.n_params, "n_params", InvariantError))
         if self.n_params < 0:
             raise InvariantError("n_params must be non-negative")
-        used = set()
-        for op in self.ops:
-            _check_op(op, self.n_qubits)
-            if op.param is not None:
-                if not 0 <= op.param < self.n_params:
-                    raise InvariantError(f"parameter slot p{op.param} out of range")
-                used.add(op.param)
-        if used != set(range(self.n_params)):
-            missing = sorted(set(range(self.n_params)) - used)
-            raise InvariantError(f"unused parameter slots: {missing}")
+        used = {op.param for op in _check_ops(self.ops, self.n_qubits)} - {None}
+        slots = set(range(self.n_params))
+        if used - slots:
+            raise InvariantError(f"parameter slots out of range: {sorted(used - slots)}")
+        if slots - used:
+            raise InvariantError(f"unused parameter slots: {sorted(slots - used)}")
 
 
 def hadamard_layer(n_qubits: int) -> Circuit:
@@ -386,10 +384,9 @@ def _encode_sample(
     """Encoded input state for one sample and the op count it took."""
     if encoding.method == "angle":
         circ = encode_angle(features, encoding.axis)
-        ops = circ.ops
         if use_hadamard:
-            ops = hadamard_layer(circ.n_qubits).ops + ops
-        return execute(Circuit(circ.n_qubits, ops)), len(ops)
+            circ = Circuit(circ.n_qubits, hadamard_layer(circ.n_qubits).ops + circ.ops)
+        return execute(circ), len(circ.ops)
     if use_hadamard:
         raise ConfigError(
             f"hadamard_layer is incompatible with state-preparing encoding {encoding.method!r}"

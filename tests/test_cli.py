@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -112,6 +113,16 @@ class TestState:
         assert entries[0]["basis"] == "0"
         assert entries[0]["re"] == pytest.approx(0.0, abs=1e-12)
         assert entries[0]["im"] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_program_from_stdin(self, capsys, monkeypatch):
+        # `qaml encode --emit-circuit | qaml state -` prints the encoded state
+        encode = ["encode", "--method", "angle", "--input", "0.5,1.5"]
+        assert main(encode + ["--emit-circuit"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["state", "-"]) == 0
+        from_stdin = capsys.readouterr().out
+        assert main(encode) == 0
+        assert from_stdin == capsys.readouterr().out
 
     def test_threshold_filters(self, tmp_path, capsys):
         path = write(tmp_path / "ry.q", "qubits 1\nry 0 0.2\n")

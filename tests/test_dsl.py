@@ -198,6 +198,12 @@ class TestValidCorpus:
         circ = parse(text)
         assert parse(to_dsl(circ)) == circ
 
+    def test_numpy_angle_round_trip(self):
+        # the op stores a float, so the printer never writes `np.float64(0.3)`
+        circ = Circuit(1, (CircuitOp("RX", (0,), np.float64(0.3)),))
+        assert to_dsl(circ) == "qubits 1\nrx 0 0.3\n"
+        assert parse(to_dsl(circ)) == circ
+
 
 class TestMalformedCorpus:
     @pytest.mark.parametrize("text,line", MALFORMED_PROGRAMS)

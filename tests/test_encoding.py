@@ -78,6 +78,10 @@ class TestSuperpositionEncoding:
         with pytest.raises(LengthMismatch):
             encode_superposition(["01", "001"])
 
+    def test_rejects_empty_bitstring(self):
+        with pytest.raises(InvalidBitstring, match="empty bitstring"):
+            encode_superposition([""])
+
     def test_rejects_empty(self):
         with pytest.raises(EmptyInput):
             encode_superposition([])

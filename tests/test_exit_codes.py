@@ -106,11 +106,14 @@ class TestTaxonomy:
         assert isinstance(info.value, ValueError)
 
     def test_unknown_gate_is_one_class_for_circuit_and_template(self):
-        op = CircuitOp("FOO", (0,))
-        with pytest.raises(errors.UnknownGate):
-            Circuit(1, (op,))
-        with pytest.raises(errors.UnknownGate):
-            AnsatzTemplate(1, (op,), 0)
+        # the op rule runs where the op is built, before any Circuit or template
+        for build in (
+            lambda: CircuitOp("FOO", (0,)),
+            lambda: CircuitOp("FOO", (0,), 1.0),
+            lambda: AnsatzOp("FOO", (0,), param=0),
+        ):
+            with pytest.raises(errors.UnknownGate):
+                build()
 
 
 class TestShots:

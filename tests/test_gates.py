@@ -19,14 +19,18 @@ from qaml import (
     make_basis_state,
     norm_squared,
 )
+from qaml.circuit import CircuitOp
 from qaml.errors import (
     ArityMismatch,
     DuplicateTarget,
+    InvariantError,
     NonFiniteAngle,
     OracleSizeExceeded,
+    SimulationError,
     TargetOutOfRange,
+    UnknownGate,
 )
-from qaml.gates import gate_from_name
+from qaml.gates import GateMatrix, gate_from_name, rotation_matrix
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -95,6 +99,63 @@ class TestRotationGates:
     def test_rejects_non_finite_angle(self, builder):
         with pytest.raises(NonFiniteAngle):
             builder(float("nan"))
+
+
+class TestOpRule:
+    """One rule for ops and gates: the same mnemonic and angle fail with the
+    same class whether a `CircuitOp` or a `GateMatrix` is built from them."""
+
+    BUILDERS = {
+        "gate_from_name": gate_from_name,
+        "CircuitOp": lambda name, angle=None: CircuitOp(name, (0,), angle),
+    }
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize(
+        "name, angle, error, message",
+        [
+            ("FOO", None, UnknownGate, "unknown gate 'FOO'"),
+            ("foo", 1.0, UnknownGate, "unknown gate 'FOO'"),
+            ("H", 0.5, NonFiniteAngle, "H op takes neither angle nor param slot"),
+            ("RX", None, NonFiniteAngle, "RX op needs exactly one of angle or param slot"),
+            ("RX", "abc", NonFiniteAngle, "must be a real number, got 'abc'"),
+            ("RX", True, NonFiniteAngle, "must be a real number, got True"),
+            ("RX", np.bool_(False), NonFiniteAngle, "must be a real number"),
+            ("RX", 1j, NonFiniteAngle, "must be a real number, got 1j"),
+            ("RX", 10**400, NonFiniteAngle, "rotation angle must be finite"),
+        ],
+        ids=["unknown", "unknown-with-angle", "fixed-with-angle", "rotation-without-angle",
+             "string", "bool", "numpy-bool", "complex", "huge-int"],
+    )
+    def test_same_error_at_every_entry_point(self, builder, name, angle, error, message):
+        with pytest.raises(error, match=message) as info:
+            self.BUILDERS[builder](name, angle)
+        assert isinstance(info.value, SimulationError)
+
+    @pytest.mark.parametrize("angle", [0.3, np.float64(0.3), np.float32(0.25), 2, np.int64(-2)])
+    def test_real_angles_are_stored_as_floats(self, angle):
+        for built in (gate_from_name("RY", angle), CircuitOp("RY", (0,), angle)):
+            assert type(built.angle) is float and built.angle == float(angle)
+
+    @pytest.mark.parametrize("name", ["RX", "RY", "RZ"])
+    def test_infinite_angle_fails_when_the_matrix_is_built(self, name):
+        assert CircuitOp(name, (0,), math.inf).angle == math.inf
+        with pytest.raises(NonFiniteAngle, match="rotation angle must be finite, got inf"):
+            gate_from_name(name, math.inf)
+
+
+class TestGateMatrixChecks:
+    def test_wrong_shape(self):
+        with pytest.raises(InvariantError, match=r"gate bad: expected 2x2 matrix, got \(4, 4\)"):
+            GateMatrix("bad", 1, np.eye(4))
+
+    def test_not_unitary(self):
+        with pytest.raises(InvariantError, match="gate bad is not unitary"):
+            GateMatrix("bad", 1, [[1, 1], [0, 1]])
+
+    def test_unknown_rotation_axis(self):
+        with pytest.raises(UnknownGate, match="unknown rotation 'RW'"):
+            rotation_matrix("RW", 0.1)
 
 
 class TestCX:

@@ -35,6 +35,7 @@ from qaml.errors import (
     EmptyDataset,
     InvalidBitstring,
     InvalidLabel,
+    InvariantError,
     NonFiniteAngle,
     NonFiniteParam,
     ParamCountMismatch,
@@ -117,6 +118,27 @@ class TestBind:
     def test_unused_slot_rejected(self):
         with pytest.raises(ValueError):
             AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=0),), 2)
+
+    @pytest.mark.parametrize("slot", [-1, 1, 5])
+    def test_slot_out_of_range(self, slot):
+        with pytest.raises(InvariantError, match=rf"parameter slots out of range: \[{slot}\]"):
+            AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=slot),), 1)
+
+    def test_negative_n_params(self):
+        with pytest.raises(InvariantError, match="n_params must be non-negative"):
+            AnsatzTemplate(1, (), -1)
+
+    @pytest.mark.parametrize("slot", [True, False, 0.0, np.float64(0.0), "0"])
+    def test_slot_must_be_an_integer(self, slot):
+        # a bool or float slot used to build, then fail inside numpy at bind time
+        with pytest.raises(InvariantError, match="parameter slot must be an integer"):
+            AnsatzOp("RY", (0,), param=slot)
+
+    def test_numpy_integer_slot(self):
+        template = AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=np.int64(0)),), 1)
+        assert bind(template, [0.7]) == bind(RY_TEMPLATE, [0.7])
+        loss = LossSpec((make_basis_state(1, "0"),), (1.0,))
+        assert loss_value(template, [0.7], loss) == loss_value(RY_TEMPLATE, [0.7], loss)
 
 
 class TestDiffusion:
@@ -256,6 +278,10 @@ class TestLossSpecQubitCount:
         with pytest.raises(TargetOutOfRange, match="qubit index must be an integer, got 0.5"):
             self.CALLS[call](loss)
 
+    def test_label_count_mismatch(self):
+        with pytest.raises(ParamCountMismatch, match="one label per input state required"):
+            LossSpec((make_basis_state(1, "0"),), (1.0, -1.0))
+
     @pytest.mark.parametrize("call", CALLS)
     def test_inputs_of_different_widths(self, call):
         loss = LossSpec((make_basis_state(1, "0"), make_basis_state(2, "00")), (1.0, -1.0))
@@ -293,6 +319,10 @@ class TestTrainConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_json("{not json")
+
+    def test_negative_max_iterations(self):
+        with pytest.raises(ConfigError, match="max_iterations must be non-negative"):
+            TrainConfig(max_iterations=-1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, seed):
