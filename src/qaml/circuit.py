@@ -42,9 +42,11 @@ class CircuitOp:
     param: int | None = None
 
     def __post_init__(self):
-        name = self.gate_name.upper()
+        name, angle = gates._check_gate(self.gate_name, self.angle, self.param)
         object.__setattr__(self, "gate_name", name)
-        object.__setattr__(self, "angle", gates._check_gate(name, self.angle, self.param))
+        object.__setattr__(self, "angle", angle)
+        if not np.iterable(self.targets):
+            raise TargetOutOfRange(f"op targets must be a sequence, got {self.targets!r}")
         targets = tuple(_integer(t, "qubit index", TargetOutOfRange) for t in self.targets)
         object.__setattr__(self, "targets", targets)
 

@@ -122,6 +122,8 @@ def cmd_state(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if args.emit_circuit and args.method != "angle":
+        raise ConfigError(f"--emit-circuit needs --method angle, got --method {args.method}")
     # the input is a CSV file path or one inline row; only its first row is encoded
     text = _read_text(args.input, EncodingError) if os.path.isfile(args.input) else args.input
     bits = args.method in ("basis", "superposition")
@@ -134,7 +136,7 @@ def cmd_encode(args) -> int:
     elif args.method == "amplitude":
         state = encoding_mod.encode_amplitude(cells)
     else:  # angle
-        circ = encoding_mod.encode_angle(cells, args.axis.upper())
+        circ = encoding_mod.encode_angle(cells, args.axis)
         if args.emit_circuit:
             sys.stdout.write(to_dsl(circ))
             return 0
@@ -160,7 +162,7 @@ def cmd_train(args) -> int:
     if any(len(row) < 2 for row in rows):
         raise DatasetError("each row needs features plus a label")
     n_features = len(rows[0]) - 1
-    spec = encoding_mod.EncodingSpec(args.encoding, args.axis.upper())
+    spec = encoding_mod.EncodingSpec(args.encoding, args.axis)
     n_qubits = encoding_mod._amplitude_qubits(n_features) if spec.method == "amplitude" else n_features
     data = [(row[:-1], row[-1]) for row in rows]
     report = hybrid.train(default_ansatz(n_qubits), data, spec, config)

@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteFeature,
     ZeroVector,
 )
-from .state import StateVector, _check_register, bitstring_to_index, make_basis_state
+from .state import StateVector, _check_register, _reals, bitstring_to_index, make_basis_state
 
 METHODS = ("basis", "superposition", "angle", "amplitude")
 AXES = ("X", "Y", "Z")
@@ -39,10 +39,9 @@ class EncodingSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown encoding method {self.method!r}")
-        axis = self.axis.upper()
-        if axis not in AXES:
+        if not isinstance(self.axis, str) or self.axis.upper() not in AXES:
             raise ConfigError(f"rotation axis must be one of {AXES}, got {self.axis!r}")
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "axis", self.axis.upper())
 
 
 def encode_basis(bits: str) -> StateVector:
@@ -71,11 +70,9 @@ def encode_superposition(bitstrings) -> StateVector:
 
 
 def _check_features(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
+    values = _reals(values, "feature value", NonFiniteFeature)
+    if values.size == 0:
         raise EmptyInput("feature vector must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteFeature(f"feature values must be finite, got {values}")
     return values
 
 
@@ -86,9 +83,7 @@ def encode_angle(features, axis: str = "Y") -> Circuit:
     """
     values = _check_features(features)
     axis = EncodingSpec("angle", axis).axis
-    ops = tuple(
-        CircuitOp(f"R{axis}", (q,), float(theta)) for q, theta in enumerate(values)
-    )
+    ops = tuple(CircuitOp(f"R{axis}", (q,), theta) for q, theta in enumerate(values.tolist()))
     return Circuit(len(values), ops)
 
 

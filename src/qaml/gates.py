@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     TargetOutOfRange,
     UnknownGate,
 )
-from .state import StateVector, _integer
+from .state import StateVector, _integer, _real
 
 UNITARITY_ATOL = 1e-12
 
@@ -130,10 +129,10 @@ def gate_cx() -> GateMatrix:
     return gate_from_name("CX")
 
 
-def _check_gate(name: str, angle=None, param=None) -> float | None:
-    """The op rule: a known mnemonic; a rotation takes exactly one of a real
-    angle (not a bool) and an integer slot, a fixed gate neither."""
-    if name not in GATE_ARITY:
+def _check_gate(name, angle=None, param=None) -> tuple[str, float | None]:
+    """The op rule: a known mnemonic, returned upper-cased; a rotation takes
+    exactly one of a real angle (a float) and an integer slot, a fixed gate neither."""
+    if not isinstance(name, str) or (name := name.upper()) not in GATE_ARITY:
         raise UnknownGate(f"unknown gate {name!r}")
     if name in ROTATION_GATES:
         if (angle is None) == (param is None):
@@ -142,15 +141,7 @@ def _check_gate(name: str, angle=None, param=None) -> float | None:
         raise NonFiniteAngle(f"{name} op takes neither angle nor param slot")
     if param is not None:
         _integer(param, "parameter slot", InvariantError)
-    if angle is None:
-        return None
-    # `float` first: the `numbers.Real` check alone costs about 0.5 us
-    if isinstance(angle, bool) or not isinstance(angle, (float, numbers.Real)):
-        raise NonFiniteAngle(f"rotation angle must be a real number, got {angle!r}")
-    try:
-        return float(angle)
-    except OverflowError:
-        raise NonFiniteAngle(f"rotation angle must be finite, got {angle}") from None
+    return name, None if angle is None else _real(angle, "rotation angle", NonFiniteAngle)
 
 
 def op_matrix(name: str, angle: float | None = None) -> np.ndarray:
@@ -165,8 +156,7 @@ def op_matrix(name: str, angle: float | None = None) -> np.ndarray:
 
 def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     """Build a gate from its mnemonic, with the angle for rotation gates."""
-    name = name.upper()
-    angle = _check_gate(name, angle)
+    name, angle = _check_gate(name, angle)
     return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -58,7 +57,8 @@ from .errors import (
     SimulationError,
 )
 from .gates import _check_target
-from .state import StateVector, _check_register, _integer, make_basis_state, probabilities
+from .state import StateVector, _check_register, _integer, _real, _reals
+from .state import make_basis_state, probabilities
 
 SHIFT = math.pi / 2.0
 
@@ -97,13 +97,9 @@ def hadamard_layer(n_qubits: int) -> Circuit:
 
 
 def _check_params(template: AnsatzTemplate, params) -> np.ndarray:
-    params = np.asarray(params, dtype=np.float64)
-    if params.shape != (template.n_params,):
-        raise ParamCountMismatch(
-            f"expected {template.n_params} parameters, got shape {params.shape}"
-        )
-    if not np.all(np.isfinite(params)):
-        raise NonFiniteParam(f"parameters must be finite, got {params}")
+    params = _reals(params, "parameter", NonFiniteParam)
+    if params.size != template.n_params:
+        raise ParamCountMismatch(f"expected {template.n_params} parameters, got {params.size}")
     return params
 
 
@@ -151,7 +147,7 @@ class LossSpec:
         if not inputs:
             raise EmptyDataset("loss needs at least one input state")
         if self.labels is not None:
-            labels = tuple(float(y) for y in self.labels)
+            labels = tuple(_reals(self.labels, "label", InvalidLabel).tolist())
             if len(labels) != len(inputs):
                 raise ParamCountMismatch("one label per input state required")
             object.__setattr__(self, "labels", labels)
@@ -249,8 +245,9 @@ class _Objective:
         grad = np.empty(self.template.n_params)
         for j in range(self.template.n_params):
             hi, lo = params.copy(), params.copy()
-            hi[j] += step
-            lo[j] -= step
+            with np.errstate(over="ignore"):  # an infinite angle fails in the op loop
+                hi[j] += step
+                lo[j] -= step
             grad[j] = (self._value(hi) - self._value(lo)) / (2.0 * step)
         return grad
 
@@ -302,19 +299,15 @@ class TrainConfig:
     hadamard_layer: bool = False
 
     def __post_init__(self):
-        for name in ("max_iterations", "shots"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
-        for name in ("learning_rate", "convergence_tol", "fd_step"):
+        for name in ("max_iterations", "shots", "learning_rate", "convergence_tol", "fd_step"):
             value = getattr(self, name)
-            if value is None and name == "fd_step":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if value is not None or name != "fd_step":  # a null fd_step takes its default
+                check = _integer if name in ("max_iterations", "shots") else _real
+                object.__setattr__(self, name, check(value, name, ConfigError))
         if not isinstance(self.hadamard_layer, bool):
             raise ConfigError(f"hadamard_layer must be true or false, got {self.hadamard_layer!r}")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        # the range checks are negated so that NaN fails them, and bounded by
-        # the largest float so that an integer too large for a float fails them
+        # the range checks are negated so that NaN fails them, and bounded so that inf does
         if not 0 <= self.learning_rate <= sys.float_info.max:
             raise ConfigError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"
@@ -341,7 +334,7 @@ class TrainConfig:
     def from_json(cls, text: str) -> "TrainConfig":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
             raise ConfigError(f"invalid config JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ConfigError("config JSON must be an object")
@@ -387,10 +380,6 @@ def _encode_sample(
         if use_hadamard:
             circ = Circuit(circ.n_qubits, hadamard_layer(circ.n_qubits).ops + circ.ops)
         return execute(circ), len(circ.ops)
-    if use_hadamard:
-        raise ConfigError(
-            f"hadamard_layer is incompatible with state-preparing encoding {encoding.method!r}"
-        )
     if encoding.method == "amplitude":
         return encode_amplitude(features), 0
     # basis and superposition both read a single 0/1 feature row as one label
@@ -415,6 +404,10 @@ def train(
     draws shot noise from the seeded generator. Empty data, a bad label or a
     sample that cannot be encoded raises a `DatasetError`.
     """
+    if config.hadamard_layer and encoding.method != "angle":
+        raise ConfigError(
+            f"hadamard_layer is incompatible with state-preparing encoding {encoding.method!r}"
+        )
     labels = []
     states = []
     for index, (features, label) in enumerate(data):
@@ -452,7 +445,8 @@ def train(
             grad = objective.fd_gradient(params, config.fd_step)
         else:
             grad = objective.shift_gradient(angles, factors)
-        params = params - config.learning_rate * grad
+        with np.errstate(over="ignore"):  # an infinite angle fails in the op loop
+            params = params - config.learning_rate * grad
 
     final_histogram = None
     if config.shots > 0:

@@ -7,6 +7,7 @@ bit, so |110> lives at index 6.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,35 @@ def _integer(value, name: str, error) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, error) -> float:
+    """`value` as a float if it is a real number, finite or not, but not a bool; else `error`."""
+    # `float` first: the `numbers.Real` check alone costs about 0.5 us
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got a value too large for a float") from None
+
+
+def _reals(values, name: str, error) -> np.ndarray:
+    """A flat sequence as a float64 array if every entry passes `_real`'s rule and is
+    finite; else `error`. A numeric array is taken whole and a list only scanned for
+    bools, which numpy reads as 0 and 1; other input goes entry by entry through `_real`."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.ndim != 1:
+        raise error(f"expected a flat sequence of {name}s, got {values!r}")
+    numeric = isinstance(values, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, values))
+    if array.dtype.kind not in "fiu" or not numeric:
+        array = np.array([_real(value, name, error) for value in values], dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise error(f"{name} must be finite, got {array[~np.isfinite(array)][0]}")
+    return array.astype(np.float64, copy=False)
 
 
 def _check_register(n_qubits, max_qubits: int | None = DEFAULT_MAX_QUBITS) -> int:

@@ -25,9 +25,14 @@ from qaml import (
     CircuitOp,
     EncodingSpec,
     Histogram,
+    LossSpec,
     StateVector,
     TrainConfig,
+    bind,
+    encode_amplitude,
+    encode_angle,
     encode_superposition,
+    loss_value,
     make_basis_state,
     sample,
     sample_state,
@@ -38,6 +43,7 @@ from qaml import cli, errors
 from qaml.cli import main
 from qaml.dsl import parse
 from qaml.encoding import read_feature_rows
+from qaml.gates import gate_from_name
 
 GROUPS = (
     errors.ParseError,
@@ -114,6 +120,68 @@ class TestTaxonomy:
         ):
             with pytest.raises(errors.UnknownGate):
                 build()
+
+
+RY = AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=0),), 1)
+ZERO = make_basis_state(1, "0")
+
+
+class TestBadValues:
+    """Library calls with bad values raise their own `QamlError` class, never
+    a raw `ValueError`, `TypeError`, `OverflowError` or `AttributeError`."""
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            # real numbers: features, parameters, labels and training settings
+            (lambda: encode_angle([True, "0.5"]), errors.NonFiniteFeature),
+            (lambda: encode_angle([True, 0.5]), errors.NonFiniteFeature),
+            (lambda: encode_angle([np.True_, 2]), errors.NonFiniteFeature),
+            (lambda: encode_angle(np.array([False, True])), errors.NonFiniteFeature),
+            (lambda: encode_angle(["abc"]), errors.NonFiniteFeature),
+            (lambda: encode_angle([10**400]), errors.NonFiniteFeature),
+            (lambda: encode_angle([1j]), errors.NonFiniteFeature),
+            (lambda: encode_angle([None, 0.5]), errors.NonFiniteFeature),
+            (lambda: encode_angle([[0.5], [0.5, 0.5]]), errors.NonFiniteFeature),
+            (lambda: encode_angle([0.5, float("inf")]), errors.NonFiniteFeature),
+            (lambda: encode_amplitude(["x", 0.2]), errors.NonFiniteFeature),
+            (lambda: loss_value(RY, ["0.1"], LossSpec((ZERO,))), errors.NonFiniteParam),
+            (lambda: loss_value(RY, ["x"], LossSpec((ZERO,))), errors.NonFiniteParam),
+            (lambda: loss_value(RY, [True], LossSpec((ZERO,))), errors.NonFiniteParam),
+            (lambda: bind(RY, [10**400]), errors.NonFiniteParam),
+            (lambda: bind(RY, [[0.1]]), errors.NonFiniteParam),
+            (lambda: LossSpec((ZERO,), [True]), errors.InvalidLabel),
+            (lambda: LossSpec((ZERO,), ["x"]), errors.InvalidLabel),
+            (lambda: LossSpec((ZERO,), [float("nan")]), errors.InvalidLabel),
+            (lambda: train(RY, [(["x", 0.2], 1)], EncodingSpec("angle"), TrainConfig()),
+             errors.DatasetError),
+            (lambda: TrainConfig(learning_rate=10**400), errors.ConfigError),
+            (lambda: TrainConfig(convergence_tol="0"), errors.ConfigError),
+            (lambda: CircuitOp("RX", (0,), "0.5"), errors.NonFiniteAngle),
+            # names, axes and target sequences
+            (lambda: CircuitOp(5, (0,)), errors.UnknownGate),
+            (lambda: CircuitOp(None, (0,)), errors.UnknownGate),
+            (lambda: gate_from_name(None), errors.UnknownGate),
+            (lambda: gate_from_name(["RX"], 0.5), errors.UnknownGate),
+            (lambda: CircuitOp("H", 0), errors.TargetOutOfRange),
+            (lambda: AnsatzOp("RY", None, param=0), errors.TargetOutOfRange),
+            (lambda: EncodingSpec("angle", 5), errors.ConfigError),
+            (lambda: EncodingSpec("angle", None), errors.ConfigError),
+            # the hadamard_layer conflict is checked before the (empty) data
+            (lambda: train(RY, [], EncodingSpec("amplitude"), TrainConfig(hadamard_layer=True)),
+             errors.ConfigError),
+        ],
+    )
+    def test_raises_its_own_class(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize(
+        "values", [[0.5, 2], (np.float64(0.5), np.int64(2)), np.array([0.5, 2.0]),
+                   np.array([1, 2], dtype=np.uint8), np.array([0.5, 2**70], dtype=object)],
+    )
+    def test_real_sequences_are_accepted(self, values):
+        assert [op.angle for op in encode_angle(values).ops] == [float(v) for v in values]
 
 
 class TestShots:
@@ -241,6 +309,29 @@ class TestCli:
         assert (code, err) == (0, "")
         assert [abs(e["re"]) for e in json.loads(out)] == [0.7071067811865475] * 2
 
+    def test_overflowing_training_step_is_one_line(self, files, tmp_path):
+        # the step overflows to an infinite angle, which the next pass refuses
+        files["config"] = write(
+            tmp_path / "huge.json",
+            '{"learning_rate": 1.7976931348623157e308, "max_iterations": 3, "convergence_tol": 0}',
+        )
+        files["data"] = write(tmp_path / "two.csv", "0.1,0.2,1\n0.9,0.3,-1\n")
+        assert_fails(self.train_argv(files), 2, "simulation error: op 0 (RY): rotation angle")
+
+    @pytest.mark.parametrize(
+        "config", ['{"seed": 1' + "0" * 5000 + "}", "[" * 100_000], ids=["long-integer", "deep"]
+    )
+    def test_unreadable_config_numbers_and_nesting_exit_4(self, files, tmp_path, config):
+        # json raises a plain ValueError past 4300 digits and a RecursionError when deep
+        files["config"] = write(tmp_path / "deep.json", config)
+        assert_fails(self.train_argv(files), 4, "config error: invalid config JSON: ")
+
+    @pytest.mark.parametrize("method", ["basis", "superposition", "amplitude"])
+    def test_emit_circuit_needs_the_angle_method(self, files, monkeypatch, method):
+        monkeypatch.setattr(cli, "_read_text", None)  # refused before the input is read
+        argv = ["encode", "--method", method, "--input", files["data"], "--emit-circuit"]
+        assert_fails(argv, 4, "config error: --emit-circuit needs --method angle")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "--help"])
@@ -313,14 +404,17 @@ _PROGRAM = st.builds(
     st.sampled_from(["1", "2", "3"] * 3 + ["-1", "0", "25", "64", "10" * 20, "x", "1.5", ""]),
     st.lists(st.one_of(_GATE_LINE, _DSL_LINE), max_size=6),
 )
+_EXTREMES = [1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324, -0.0]
 _CSV_CELL = st.one_of(
     st.sampled_from(["1", "-1", "0", "0.5", "1.0", "nan", "inf", "1e400", "", "x", '"', " 2"]),
     st.floats(-4, 4).map(repr),
+    st.sampled_from(_EXTREMES).map(repr),
 )
 _CSV_TEXT = st.lists(st.lists(_CSV_CELL, max_size=4).map(",".join), max_size=5).map("\n".join)
 _DATASET = st.integers(1, 3).flatmap(
     lambda width: st.lists(
-        st.tuples(st.lists(st.floats(-4, 4), min_size=width, max_size=width),
+        st.tuples(st.lists(st.one_of(st.floats(-4, 4), st.sampled_from(_EXTREMES)),
+                           min_size=width, max_size=width),
                   st.sampled_from([-1, 1])),
         min_size=1, max_size=4,
     )
@@ -336,7 +430,7 @@ _GOOD_CONFIG = st.fixed_dictionaries(
     optional={
         "shots": st.integers(0, 3),
         "seed": st.integers(0, 2**64 - 1),
-        "learning_rate": st.floats(0, 10),
+        "learning_rate": st.one_of(st.floats(0, 10), st.floats(0, sys.float_info.max)),
         "gradient_method": st.sampled_from(["parameter_shift", "finite_difference"]),
         "hadamard_layer": st.booleans(),
     },

@@ -394,7 +394,7 @@ class TestTrainConfig:
     )
     def test_float_fields_must_be_numbers(self, field, value):
         text = f'{{"gradient_method": "finite_difference", "{field}": {value}}}'
-        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
             TrainConfig.from_json(text)
 
     def test_integer_floats_accepted(self):
@@ -404,6 +404,15 @@ class TestTrainConfig:
         )
         assert (config.learning_rate, config.convergence_tol, config.fd_step) == (1, 0, 1)
         assert config.hadamard_layer is True
+
+    @pytest.mark.parametrize("value", [1, np.int64(2), np.float32(0.5), np.float64(0.25), 2**70])
+    def test_float_fields_are_stored_as_floats(self, value):
+        config = TrainConfig(
+            learning_rate=value, convergence_tol=value, gradient_method="finite_difference",
+            fd_step=value,
+        )
+        for field in ("learning_rate", "convergence_tol", "fd_step"):
+            assert type(getattr(config, field)) is float and getattr(config, field) == float(value)
 
 
 def _is_real(value) -> bool:
