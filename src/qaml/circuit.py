@@ -45,9 +45,8 @@ class CircuitOp:
         name, angle = gates._check_gate(self.gate_name, self.angle, self.param)
         object.__setattr__(self, "gate_name", name)
         object.__setattr__(self, "angle", angle)
-        if not np.iterable(self.targets):
-            raise TargetOutOfRange(f"op targets must be a sequence, got {self.targets!r}")
-        targets = tuple(_integer(t, "qubit index", TargetOutOfRange) for t in self.targets)
+        targets = gates._target_tuple(self.targets)
+        targets = tuple(_integer(t, "qubit index", TargetOutOfRange) for t in targets)
         object.__setattr__(self, "targets", targets)
 
     def to_gate(self) -> gates.GateMatrix:
@@ -154,14 +153,13 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw of `count` outcome indices from one probability row."""
+    """The reference inverse-CDF draw of `count` outcome indices from one probability row."""
     return np.searchsorted(_cdf(probs), rng.random(count), side="right")
 
 
 def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:
     """Sample one basis outcome and collapse; deterministic per (state, seed)."""
-    index = int(_draw_indices(probabilities(state), 1, _rng(seed))[0])
-    bits = state.bitstring(index)
+    bits = next(iter(sample_state(state, 1, seed).counts))
     return bits, make_basis_state(state.n_qubits, bits)
 
 

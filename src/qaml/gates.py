@@ -173,8 +173,15 @@ def _check_target(target, earlier, n_qubits: int) -> int:
     return target
 
 
+def _target_tuple(targets) -> tuple:
+    """An op's targets as a tuple; they must come as a sequence."""
+    if not np.iterable(targets):
+        raise TargetOutOfRange(f"op targets must be a sequence, got {targets!r}")
+    return tuple(targets)
+
+
 def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
-    targets = tuple(targets)
+    targets = _target_tuple(targets)
     if len(targets) != arity:
         raise ArityMismatch(f"gate acts on {arity} qubit(s), got targets {targets}")
     checked = ()

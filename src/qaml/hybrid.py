@@ -14,10 +14,11 @@ looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 `circuit.execute`, and the ansatz pass runs the encoded samples, the columns
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
 `_Objective` holds that batch, the Z signs and the labels; `loss_value`,
-`gradient` and `train` take the loss and its gradients from it. A shot
-readout takes one block of draws for all samples, the same stream as drawing
-sample by sample, and `train` runs the unshifted ansatz pass once per
-iteration, reading it for the loss and again for the gradient.
+`gradient` and `train` take the loss from it, and `_Objective.gradient` is
+the one gradient step, where the method is picked. A shot readout takes one
+block of draws for all samples, the same stream as drawing sample by sample,
+and `train` runs the unshifted ansatz pass once per iteration, reading it
+for the loss and handing it to the gradient step for the loss factors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -251,6 +252,16 @@ class _Objective:
             grad[j] = (self._value(hi) - self._value(lo)) / (2.0 * step)
         return grad
 
+    def gradient(self, params: np.ndarray, config: TrainConfig, probs=None) -> np.ndarray:
+        """The gradient by `config`'s method, the one place that picks it. Parameter
+        shift reads its loss factors from `probs`, the unshifted pass, run here if not given."""
+        if config.gradient_method == "finite_difference":
+            return self.fd_gradient(params, config.fd_step)
+        angles = _bound_angles(self.template, params)
+        if probs is None:
+            probs = self.probs(angles)
+        return self.shift_gradient(angles, self.loss(probs)[1])
+
     def _value(self, params: np.ndarray) -> float:
         return self.loss(self.probs(_bound_angles(self.template, params)))[0]
 
@@ -265,22 +276,18 @@ def gradient(
     params,
     loss: LossSpec,
     method: str = "parameter_shift",
-    fd_step: float = 1e-5,
+    fd_step: float | None = None,
 ) -> np.ndarray:
     """Gradient of the loss with respect to the ansatz parameters.
 
     parameter_shift evaluates each rotation occurrence at +/- pi/2 (exact for
     RX/RY/RZ generators, summed over occurrences of a shared parameter);
-    finite_difference takes central differences of the full loss.
+    finite_difference takes central differences of the full loss. The method
+    and `fd_step` are checked as `TrainConfig` fields.
     """
     params = _check_params(template, params)
-    if method not in GRADIENT_METHODS:
-        raise ConfigError(f"unknown gradient method {method!r}")
-    objective = _Objective(template, loss)
-    if method == "finite_difference":
-        return objective.fd_gradient(params, fd_step)
-    angles = _bound_angles(template, params)
-    return objective.shift_gradient(angles, objective.loss(objective.probs(angles))[1])
+    config = TrainConfig(gradient_method=method, fd_step=fd_step)
+    return _Objective(template, loss).gradient(params, config)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +349,7 @@ class TrainConfig:
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -358,17 +362,7 @@ class TrainReport:
     circuit_depth: int = 0
 
     def to_json(self) -> str:
-        payload = {
-            "loss_trace": list(self.loss_trace),
-            "final_params": list(self.final_params),
-            "iterations_run": self.iterations_run,
-            "converged": self.converged,
-            "final_histogram": None
-            if self.final_histogram is None
-            else {"shots": self.final_histogram.shots, "counts": self.final_histogram.counts},
-            "circuit_depth": self.circuit_depth,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _encode_sample(
@@ -428,23 +422,14 @@ def train(
 
     trace: list[float] = []
     converged = False
-    prev = None
     for _ in range(config.max_iterations):
-        angles = _bound_angles(template, params)
-        probs = objective.probs(angles)
-        value, factors = objective.loss(probs)
+        probs = objective.probs(_bound_angles(template, params))
+        value = objective.loss(probs)[0]
+        converged = bool(trace) and abs(value - trace[-1]) < config.convergence_tol
         trace.append(value)
-        if prev is not None and abs(value - prev) < config.convergence_tol:
-            converged = True
+        if converged:
             break
-        prev = value
-        if config.shots > 0:
-            # the gradient's loss factors take fresh draws from the same state
-            _, factors = objective.loss(probs)
-        if config.gradient_method == "finite_difference":
-            grad = objective.fd_gradient(params, config.fd_step)
-        else:
-            grad = objective.shift_gradient(angles, factors)
+        grad = objective.gradient(params, config, probs)
         with np.errstate(over="ignore"):  # an infinite angle fails in the op loop
             params = params - config.learning_rate * grad
 

@@ -28,10 +28,14 @@ from qaml import (
     LossSpec,
     StateVector,
     TrainConfig,
+    apply_gate,
     bind,
+    dense_unitary,
     encode_amplitude,
     encode_angle,
     encode_superposition,
+    gate_h,
+    gradient,
     loss_value,
     make_basis_state,
     sample,
@@ -126,6 +130,10 @@ RY = AnsatzTemplate(1, (AnsatzOp("RY", (0,), param=0),), 1)
 ZERO = make_basis_state(1, "0")
 
 
+def ry_gradient(method, **kwargs):
+    return gradient(RY, [0.1], LossSpec((ZERO,)), method, **kwargs)
+
+
 class TestBadValues:
     """Library calls with bad values raise their own `QamlError` class, never
     a raw `ValueError`, `TypeError`, `OverflowError` or `AttributeError`."""
@@ -167,6 +175,16 @@ class TestBadValues:
             (lambda: AnsatzOp("RY", None, param=0), errors.TargetOutOfRange),
             (lambda: EncodingSpec("angle", 5), errors.ConfigError),
             (lambda: EncodingSpec("angle", None), errors.ConfigError),
+            # gradient settings are checked as TrainConfig fields
+            (lambda: ry_gradient("finite_difference", fd_step=0), errors.ConfigError),
+            (lambda: ry_gradient("finite_difference", fd_step=-1e-5), errors.ConfigError),
+            (lambda: ry_gradient("finite_difference", fd_step=float("inf")), errors.ConfigError),
+            (lambda: ry_gradient("finite_difference", fd_step=float("nan")), errors.ConfigError),
+            (lambda: ry_gradient("finite_difference", fd_step="x"), errors.ConfigError),
+            (lambda: ry_gradient("finite_difference", fd_step=True), errors.ConfigError),
+            (lambda: ry_gradient("parameter_shift", fd_step=1e-4), errors.ConfigError),
+            (lambda: ry_gradient("adjoint"), errors.ConfigError),
+            (lambda: ry_gradient(None), errors.ConfigError),
             # the hadamard_layer conflict is checked before the (empty) data
             (lambda: train(RY, [], EncodingSpec("amplitude"), TrainConfig(hadamard_layer=True)),
              errors.ConfigError),
@@ -174,6 +192,18 @@ class TestBadValues:
     )
     def test_raises_its_own_class(self, build, error):
         with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CircuitOp("H", 0),
+            lambda: apply_gate(make_basis_state(2, "00"), gate_h(), 0),
+            lambda: dense_unitary(gate_h(), 0, 2),
+        ],
+    )
+    def test_a_bare_target_is_not_a_sequence(self, build):
+        with pytest.raises(errors.TargetOutOfRange, match="^op targets must be a sequence, got 0$"):
             build()
 
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from qaml import (
     TrainReport,
     bind,
     diffusion,
+    encode_angle,
     execute,
     expectation_z,
     gradient,
@@ -523,6 +524,22 @@ class TestTrain:
             initial_params=[0.1],
         )
         assert report.loss_trace[-1] < 0.01
+
+    @pytest.mark.parametrize("method", ["parameter_shift", "finite_difference"])
+    def test_one_iteration_is_one_gradient_step(self, method):
+        # train and gradient share the gradient step, so the bits agree
+        template = AnsatzTemplate(
+            2,
+            (AnsatzOp("RY", (0,), param=0), AnsatzOp("CX", (0, 1)), AnsatzOp("RX", (1,), param=1)),
+            2,
+        )
+        data = [([0.4, 1.1], 1), ([2.5, -0.3], -1)]
+        p0 = np.array([0.2, -0.7])
+        config = TrainConfig(learning_rate=0.3, max_iterations=1, gradient_method=method)
+        report = train(template, data, EncodingSpec("angle"), config, initial_params=p0)
+        loss = LossSpec(tuple(execute(encode_angle(x)) for x, _ in data), tuple(y for _, y in data))
+        step = p0 - 0.3 * gradient(template, p0, loss, method)
+        assert report.final_params == tuple(step.tolist())
 
     def test_zero_iterations(self):
         report = train(
