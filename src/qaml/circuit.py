@@ -3,8 +3,8 @@
 `_run` is the one op loop: it applies the gate kernel in program order to a
 batch-last `(2^n, batch)` buffer, swapping two buffers between ops. `execute`
 runs it on a |0...0> column and `hybrid` on a batch of encoded samples.
-Ops pass `gates._check_gate` when built and `_check_ops` (targets) in a
-`Circuit`, so `_run` only looks up matrices; the state is checked on return.
+Ops pass the op and target rules when built and `_check_ops` (register fit)
+in a `Circuit`, so `_run` only looks up matrices; the state is checked on return.
 Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
 which bounds shots by `MAX_SHOTS`), shared with `TrainConfig` and the CLI.
 Measurement uses the Philox counter-based generator (platform-independent)
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError, TargetOutOfRange
+from .errors import ConfigError, InvariantError, NonFiniteAngle, QamlError
 from .state import StateVector, _check_register, _integer, bitstrings, make_basis_state, probabilities
 
 # The shot ceiling: a float64 block of 2**25 draws is 256 MiB, the size of the
@@ -45,8 +45,7 @@ class CircuitOp:
         name, angle = gates._check_gate(self.gate_name, self.angle, self.param)
         object.__setattr__(self, "gate_name", name)
         object.__setattr__(self, "angle", angle)
-        targets = gates._target_tuple(self.targets)
-        targets = tuple(_integer(t, "qubit index", TargetOutOfRange) for t in targets)
+        targets = gates._check_targets(self.targets, gates.GATE_ARITY[name])
         object.__setattr__(self, "targets", targets)
 
     def to_gate(self) -> gates.GateMatrix:
@@ -54,10 +53,11 @@ class CircuitOp:
 
 
 def _check_ops(ops, n_qubits: int) -> list[CircuitOp]:
-    """The distinct op objects of `ops`, their targets checked once each."""
+    """The distinct op objects of `ops`; each distinct targets tuple must fit the register."""
     distinct = list({id(op): op for op in ops}.values())
-    for op in distinct:
-        gates._check_targets(op.targets, gates.GATE_ARITY[op.gate_name], n_qubits)
+    for targets in dict.fromkeys(op.targets for op in distinct):
+        for target in targets:
+            gates._check_target(target, (), n_qubits)
     return distinct
 
 

@@ -160,28 +160,24 @@ def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle)
 
 
-def _check_target(target, earlier, n_qubits: int) -> int:
-    """One qubit target as an int: an integer, non-negative, below `n_qubits`
-    and not among the `earlier` targets of its op, checked in that order."""
+def _check_target(target, earlier, n_qubits: int | None = None) -> int:
+    """One qubit target as an int: an integer, non-negative, below `n_qubits` unless
+    that is None, and not among the `earlier` targets of its op, in that order."""
     target = _integer(target, "qubit index", TargetOutOfRange)
     if target < 0:
         raise TargetOutOfRange(f"qubit index must be non-negative, got {target}")
-    if target >= n_qubits:
+    if n_qubits is not None and target >= n_qubits:
         raise TargetOutOfRange(f"index {target} >= declared qubits ({n_qubits})")
     if target in earlier:
         raise DuplicateTarget("control and target must differ")
     return target
 
 
-def _target_tuple(targets) -> tuple:
-    """An op's targets as a tuple; they must come as a sequence."""
+def _check_targets(targets, arity: int, n_qubits: int | None = None) -> tuple[int, ...]:
+    """The target rule: a sequence of `arity` targets, each passing `_check_target`."""
     if not np.iterable(targets):
         raise TargetOutOfRange(f"op targets must be a sequence, got {targets!r}")
-    return tuple(targets)
-
-
-def _check_targets(targets, arity: int, n_qubits: int) -> tuple[int, ...]:
-    targets = _target_tuple(targets)
+    targets = tuple(targets)
     if len(targets) != arity:
         raise ArityMismatch(f"gate acts on {arity} qubit(s), got targets {targets}")
     checked = ()

@@ -9,14 +9,14 @@ by gradient descent.
 
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
 (`AnsatzOp` is another name for `CircuitOp`). `AnsatzTemplate` checks their
-targets with `circuit._check_ops`, as `Circuit` does, so the op loop only
+register fit with `circuit._check_ops`, as `Circuit` does, so the op loop only
 looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 `circuit.execute`, and the ansatz pass runs the encoded samples, the columns
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
 `_Objective` holds that batch, the Z signs and the labels; `loss_value`,
 `gradient` and `train` take the loss from it, and `_Objective.gradient` is
-the one gradient step, where the method is picked. A shot readout takes one
-block of draws for all samples, the same stream as drawing sample by sample,
+the one gradient step, where the method is picked. A shot readout draws its
+samples in blocks of rows, the same stream as drawing sample by sample,
 and `train` runs the unshifted ansatz pass once per iteration, reading it
 for the loss and handing it to the gradient step for the loss factors.
 """
@@ -171,20 +171,23 @@ def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> n
 def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
     """Z expectation per row: exact when `shots` is 0, else a shot estimate.
 
-    The shot estimate takes one block of `shots` draws per row from `rng`,
-    which equals drawing the rows one after another with `_draw_indices`.
-    A draw u lands at or past outcome b exactly when u >= cdf[b - 1], so
-    counting draws at or past each sign change of `signs` gives the number
-    of -1 outcomes without mapping any draw to its outcome."""
+    The shot estimate takes `shots` draws per row from `rng`, in row blocks of
+    at most `MAX_SHOTS` draws that Philox fills row-major, which equals drawing
+    the rows one after another with `_draw_indices`. A draw u lands at or
+    past outcome b exactly when u >= cdf[b - 1], so counting draws at or past
+    each sign change of `signs` gives the number of -1 outcomes without
+    mapping any draw to its outcome."""
     if shots == 0:
         return probs @ signs
-    draws = rng.random((probs.shape[0], shots))
-    cuts = np.flatnonzero(signs[1:] != signs[:-1])
-    # signs start at +1 and alternate at each cut, so the -1 outcomes are
-    # those past an odd number of cuts
-    past = np.count_nonzero(draws[:, :, None] >= _cdf(probs)[:, None, cuts], axis=1)
-    n_minus = past @ (1 - 2 * (np.arange(cuts.size) % 2))
-    return (shots - 2.0 * n_minus) / shots
+    cuts = _cdf(probs)[:, np.flatnonzero(signs[1:] != signs[:-1])]
+    step = max(1, MAX_SHOTS // shots)
+    n_minus = []
+    for block in np.split(cuts, range(step, len(cuts), step)):
+        draws = rng.random((len(block), shots))
+        # signs start at +1 and flip at each cut: a -1 outcome is past an odd number of cuts
+        past = [np.count_nonzero(draws >= cut[:, None], axis=1) for cut in block.T]
+        n_minus.append(sum(past[0::2]) - sum(past[1::2]))
+    return (shots - 2.0 * np.concatenate(n_minus)) / shots
 
 
 class _Objective:

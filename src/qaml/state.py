@@ -68,7 +68,7 @@ def bitstrings(n_qubits: int, indices: np.ndarray) -> list[str]:
 
 def bitstring_to_index(bits: str) -> int:
     """Map a basis label to its amplitude index (first character = MSB)."""
-    if not bits or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
         raise InvalidBitstring(f"expected a non-empty binary string, got {bits!r}")
     return int(bits, 2)
 

@@ -7,6 +7,8 @@ from scipy import stats
 
 from conftest import dense_execute
 from qaml import (
+    AnsatzOp,
+    AnsatzTemplate,
     Circuit,
     CircuitOp,
     Histogram,
@@ -19,7 +21,14 @@ from qaml import (
     sample_state,
 )
 from qaml.circuit import _draw_indices
-from qaml.errors import ConfigError, NonFiniteAngle, SimulationError, TargetOutOfRange
+from qaml.errors import (
+    ArityMismatch,
+    ConfigError,
+    DuplicateTarget,
+    NonFiniteAngle,
+    SimulationError,
+    TargetOutOfRange,
+)
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -75,14 +84,53 @@ class TestCircuitConstruction:
     @pytest.mark.parametrize(
         "op, message",
         [
-            (CircuitOp("H", (-1,)), "qubit index must be non-negative, got -1"),
-            (CircuitOp("H", (5,)), "index 5 >= declared qubits \\(2\\)"),
-            (CircuitOp("CX", (1, 1)), "control and target must differ"),
+            (("H", (-1,)), "qubit index must be non-negative, got -1"),
+            (("H", (5,)), "index 5 >= declared qubits \\(2\\)"),
+            (("CX", (1, 1)), "control and target must differ"),
         ],
     )
     def test_target_messages_match_the_dsl(self, op, message):
+        # the op is built inside `raises`: faults that need no register raise there
         with pytest.raises(SimulationError, match=message):
-            Circuit(2, (op,))
+            Circuit(2, (CircuitOp(*op),))
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("H", (0, 1)), ArityMismatch, "gate acts on 1 qubit(s), got targets (0, 1)"),
+            (("CX", (0,)), ArityMismatch, "gate acts on 2 qubit(s), got targets (0,)"),
+            (("CX", (1, 1)), DuplicateTarget, "control and target must differ"),
+            (("H", (-1,)), TargetOutOfRange, "qubit index must be non-negative, got -1"),
+            (("CX", (0, -2)), TargetOutOfRange, "qubit index must be non-negative, got -2"),
+            (("RY", (0, 1), None, 0), ArityMismatch, "gate acts on 1 qubit(s), got targets (0, 1)"),
+            (("RZ", (-3,), None, 1), TargetOutOfRange, "qubit index must be non-negative, got -3"),
+        ],
+    )
+    @pytest.mark.parametrize("make", [CircuitOp, AnsatzOp], ids=["CircuitOp", "AnsatzOp"])
+    def test_register_free_faults_raise_where_the_op_is_built(self, make, args, error, message):
+        with pytest.raises(error) as info:
+            make(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            # the first op whose targets do not fit, in program order, not the largest index
+            ([("H", (0,)), ("CX", (1, 3)), ("H", (9,))], "index 3 >= declared qubits (2)"),
+            ([("H", (9,)), ("CX", (1, 3)), ("H", (0,))], "index 9 >= declared qubits (2)"),
+            ([("CX", (0, 1)), ("CX", (4, 2)), ("CX", (2, 4))], "index 4 >= declared qubits (2)"),
+            ([("CX", (0, 1)), ("CX", (1, 5)), ("CX", (6, 0))], "index 5 >= declared qubits (2)"),
+        ],
+    )
+    def test_containers_report_the_first_misfit_in_program_order(self, ops, message):
+        ops = [CircuitOp(*op) for op in ops]  # an op alone has no register to exceed
+        with pytest.raises(TargetOutOfRange) as info:
+            Circuit(2, ops)
+        assert str(info.value) == message
+        slotted = ops + [AnsatzOp("RY", (0,), param=0)]
+        with pytest.raises(TargetOutOfRange) as info:
+            AnsatzTemplate(2, slotted, 1)
+        assert str(info.value) == message
 
     def test_numpy_integer_targets_accepted(self):
         op = CircuitOp("CX", (np.int64(1), np.uint8(0)))

@@ -33,6 +33,7 @@ from qaml import (
     dense_unitary,
     encode_amplitude,
     encode_angle,
+    encode_basis,
     encode_superposition,
     gate_h,
     gradient,
@@ -166,6 +167,9 @@ class TestBadValues:
             (lambda: TrainConfig(learning_rate=10**400), errors.ConfigError),
             (lambda: TrainConfig(convergence_tol="0"), errors.ConfigError),
             (lambda: CircuitOp("RX", (0,), "0.5"), errors.NonFiniteAngle),
+            # a bitstring must be a string
+            (lambda: make_basis_state(2, 5), errors.InvalidBitstring),
+            (lambda: encode_basis(b"01"), errors.InvalidBitstring),
             # names, axes and target sequences
             (lambda: CircuitOp(5, (0,)), errors.UnknownGate),
             (lambda: CircuitOp(None, (0,)), errors.UnknownGate),

@@ -1,17 +1,19 @@
 """The vectorised samplers against per-row and per-draw references.
 
-`hybrid._readout` takes one block of draws for all rows and counts them at
-the sign changes of the Z signs; `circuit.sample_state` counts sorted draws
+`hybrid._readout` takes its draws in blocks of rows and counts them at the
+sign changes of the Z signs; `circuit.sample_state` counts sorted draws
 per outcome. Both must give exactly what drawing outcome indices one row at a
 time with `_draw_indices` gives, and leave the generator in the same state.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qaml import StateVector, circuit, probabilities, sample_state
+from qaml import StateVector, circuit, hybrid, probabilities, sample_state
 from qaml.circuit import _draw_indices, _rng
 from qaml.hybrid import _readout, _z_signs
 
@@ -51,6 +53,25 @@ def test_shot_readout_equals_per_row_draws(case, shots, seed):
     got = _readout(probs, signs, shots, rng)
     assert got.tobytes() == reference.tobytes()
     assert rng.random() == reference_rng.random()
+
+
+@pytest.mark.parametrize("qubit", range(4))
+def test_shot_readout_memory_follows_the_block_not_the_batch(monkeypatch, qubit):
+    # 64 rows x 4096 shots fit one block at the real ceiling; at a ceiling of
+    # 8192 draws they take 32 blocks of 2 rows, with the same bits
+    weights = np.random.default_rng(qubit).random((64, 16))
+    probs, signs = weights / weights.sum(axis=1, keepdims=True), _z_signs(4, qubit)
+    whole = _readout(probs, signs, 4096, _rng(5))
+    monkeypatch.setattr(hybrid, "MAX_SHOTS", 8192)
+    tracemalloc.start()
+    try:
+        blocked = _readout(probs, signs, 4096, _rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked.tobytes() == whole.tobytes()
+    # one block of draws is 64 KiB; the whole batch's draws alone are 2 MiB
+    assert peak < 4 * 8 * 8192
 
 
 class ConstantDraws:
