@@ -1,10 +1,11 @@
 """Circuit intermediate representation, execution, and basis measurement.
 
 `_run` is the one op loop: it applies the gate kernel in program order to a
-batch-last `(2^n, batch)` buffer, swapping two buffers between ops. `execute`
+batch-last `(2^n, batch)` buffer, alternating two buffers, and binds each
+kernel step (`gates._bind`) and builds each op matrix once per call. `execute`
 runs it on a |0...0> column and `hybrid` on a batch of encoded samples.
 Ops pass the op and target rules when built and `_check_ops` (register fit)
-in a `Circuit`, so `_run` only looks up matrices; the state is checked on return.
+in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
 Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
 which bounds shots by `MAX_SHOTS`), shared with `TrainConfig` and the CLI.
 Measurement uses the Philox counter-based generator (platform-independent)
@@ -94,19 +95,28 @@ class Histogram:
 
 
 def _run(src: np.ndarray, ops, angles) -> np.ndarray:
-    """The one op loop: apply `ops` at `angles` to the batch-last buffer `src`
-    (consumed), swapping it and one scratch buffer after every op."""
-    out = np.empty_like(src)
+    """The one op loop: apply the sequence `ops` at `angles` to the batch-last buffer
+    `src` (consumed) and a scratch buffer, op k reading buffer k & 1. One step per
+    (targets, CX, parity) and one matrix per op object whose angle is its own (by
+    identity, so a bound or `-0.0` angle never gets a `0.0` op's matrix) serve the call."""
+    buffers = (src, np.empty_like(src))
+    steps, matrices = {}, {}
     for index, (op, angle) in enumerate(zip(ops, angles)):
-        try:
-            matrix = gates.op_matrix(op.gate_name, angle)
-        except QamlError as exc:
-            exc.op_index = index
-            exc.args = (f"op {index} ({op.gate_name}): {exc}",)
-            raise
-        gates.apply_gate_tensor(src, out, matrix, op.targets)
-        src, out = out, src
-    return src
+        if angle is not op.angle or (matrix := matrices.get(id(op))) is None:
+            try:
+                matrix = gates.op_matrix(op.gate_name, angle)
+            except QamlError as exc:
+                exc.op_index = index
+                exc.args = (f"op {index} ({op.gate_name}): {exc}",)
+                raise
+            if angle is op.angle:
+                matrices[id(op)] = matrix
+        key = (op.targets, op.gate_name == "CX", index & 1)
+        if (step := steps.get(key)) is None:
+            targets, is_cx, parity = key
+            step = steps[key] = gates._bind(buffers[parity], buffers[1 - parity], targets, is_cx)
+        step(matrix)
+    return buffers[len(ops) & 1]
 
 
 def execute(circuit: Circuit) -> StateVector:
@@ -116,7 +126,7 @@ def execute(circuit: Circuit) -> StateVector:
     src[0] = 1.0
     # rebinding `src` frees the scratch buffer before the state is validated
     src = _run(src, circuit.ops, [op.angle for op in circuit.ops])
-    return StateVector(n, src.reshape(-1))
+    return StateVector(n, src.reshape(-1), _owned=True)
 
 
 def _check_seed(seed, name: str = "seed") -> int:

@@ -18,7 +18,6 @@ from .errors import (
     ConfigError,
     DuplicateBasisState,
     EmptyInput,
-    InvalidBitstring,
     LengthMismatch,
     NonFiniteFeature,
     ZeroVector,
@@ -54,19 +53,17 @@ def encode_superposition(bitstrings) -> StateVector:
     bitstrings = list(bitstrings)
     if not bitstrings:
         raise EmptyInput("superposition encoding needs at least one basis string")
+    indices = [bitstring_to_index(bits) for bits in bitstrings]
     n = len(bitstrings[0])
-    if n == 0:
-        raise InvalidBitstring("empty bitstring")
     if len(set(bitstrings)) != len(bitstrings):
         raise DuplicateBasisState(f"duplicate basis state in {bitstrings}")
     for bits in bitstrings:
         if len(bits) != n:
             raise LengthMismatch(f"bitstring {bits!r} has length {len(bits)}, expected {n}")
-    indices = [bitstring_to_index(bits) for bits in bitstrings]
     _check_register(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[indices] = math.sqrt(1.0 / len(bitstrings))
-    return StateVector(n, amps)
+    return StateVector(n, amps, _owned=True)
 
 
 def _check_features(values) -> np.ndarray:
@@ -108,7 +105,7 @@ def encode_amplitude(features) -> StateVector:
     n_qubits = _check_register(_amplitude_qubits(values.size))
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[: values.size] = values / norm
-    return StateVector(n_qubits, amps)
+    return StateVector(n_qubits, amps, _owned=True)
 
 
 def read_feature_rows(text: str, cell=float) -> list[list]:

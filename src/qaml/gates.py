@@ -1,17 +1,19 @@
 """Gate matrices and their application to state vectors.
 
-`apply_gate_tensor` is the one kernel: it applies a 2x2 or 4x4 unitary to a
-batch-last `(2^n, batch)` buffer in O(2^n * batch) time, writing into a
-second buffer the caller owns. `apply_gate` and the one op loop,
-`circuit._run` (behind `execute` and `hybrid`'s batched ansatz pass), are
-its only callers, fed by `op_matrix`, a lookup for ops checked when built.
-Its results are bit-identical to the batch-first contraction kernel it
-replaced, which `tests/test_kernel_oracle.py` keeps as its oracle: every
-path runs the same BLAS zgemm arithmetic or, for CX, copies that give the
-same bits. There is no elementwise pair-update or phase-multiply path,
-because numpy's complex arithmetic does not fuse multiply-adds as OpenBLAS
-zgemm does, which would move the last bits. The full 2^n x 2^n operator is
-only ever materialized by the small-instance test oracle `dense_unitary`.
+The one gate kernel is `_bind(src, out, targets, is_cx)`: it builds its views
+of two batch-last `(2^n, batch)` buffers once, on the path `_layout` caches,
+and returns `step(matrix)`, which applies a 2x2 or 4x4 unitary from `src` into
+`out` in O(2^n * batch) time with only its numpy calls. `apply_gate_tensor`
+binds and steps once, for `apply_gate`; the one op loop, `circuit._run`
+(behind `execute` and `hybrid`'s batched ansatz pass), reuses a step per
+targets and buffer parity. The results are bit-identical to the batch-first
+contraction kernel it replaced, which `tests/test_kernel_oracle.py` keeps as
+its oracle: every path runs the same BLAS zgemm arithmetic or, for CX, copies
+that give the same bits. There is no elementwise pair-update or phase-multiply
+path, because numpy's complex arithmetic does not fuse multiply-adds as
+OpenBLAS zgemm does, which would move the last bits. The full 2^n x 2^n
+operator is only ever materialized by the small-instance test oracle
+`dense_unitary`.
 """
 
 from __future__ import annotations
@@ -196,8 +198,8 @@ MATMUL_MAX_BLOCKS = 32
 
 @functools.lru_cache(maxsize=1024)
 def _layout(dim: int, batch: int, targets: tuple[int, ...], is_cx: bool) -> tuple:
-    """How `apply_gate_tensor` runs a gate on `targets` of a `(dim, batch)`
-    buffer, worked out once per key: `("matmul", shape, None)`, `("cx", shape,
+    """How the kernel runs a gate on `targets` of a `(dim, batch)` buffer,
+    worked out once per key: `("matmul", shape, None)`, `("cx", shape,
     (source, destination) slice pairs)` or `("staged", tensor_shape, (perm,
     staged_shape, rows, inverse))`."""
     if len(targets) == 1:
@@ -224,39 +226,56 @@ def _layout(dim: int, batch: int, targets: tuple[int, ...], is_cx: bool) -> tupl
     return "staged", tensor_shape, (perm, staged_shape, (1 << len(targets), -1), inverse)
 
 
+def _bind(src: np.ndarray, out: np.ndarray, targets: tuple[int, ...], is_cx: bool):
+    """The kernel with its `_layout` path and its views of both buffers built
+    once: `step(matrix)` applies the gate from `src` into `out` and makes only
+    its numpy calls. A step is valid while both buffers live."""
+    path, shape, layout = _layout(*src.shape, targets, is_cx)
+    if path == "matmul":
+        src, out = src.reshape(shape), out.reshape(shape)
+        return lambda matrix: np.matmul(matrix, src, out=out)
+    if path == "cx":
+        pairs = [(src.reshape(shape)[s], out.reshape(shape)[d]) for s, d in layout]
+
+        def step(matrix):
+            # adding zero turns -0.0 into +0.0, as the permutation matrix's zgemm does
+            for source, destination in pairs:
+                np.add(source, _ZERO, out=destination)
+
+        return step
+    # stage in `out`, multiply into `src`, copy the product back to `out`
+    perm, staged_shape, rows, inverse = layout
+    staged, stage_from = out.reshape(staged_shape), src.reshape(shape).transpose(perm)
+    operand, product = out.reshape(rows), src.reshape(rows)
+    result, unstage_from = out.reshape(shape), src.reshape(staged_shape).transpose(inverse)
+
+    def step(matrix):
+        staged[...] = stage_from
+        np.dot(matrix, operand, out=product)
+        result[...] = unstage_from
+
+    return step
+
+
 def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
     """Apply a 2x2 or 4x4 unitary to the named qubits, writing into `out`.
 
-    The only gate kernel. `src` and `out` are distinct C-contiguous
-    `(2**n, batch)` complex128 buffers, one column per state (batch-last);
-    `src` is scratch and holds garbage afterwards. Targets are not checked
-    here (control first for CX): callers pass targets already checked
-    against the register. The path and its shapes come from the layout
-    cache `_layout`, so each op costs only its numpy calls.
+    The one gate kernel, bound by `_bind` and stepped once. `src` and `out`
+    are distinct C-contiguous `(2**n, batch)` complex128 buffers, one column
+    per state (batch-last); `src` is scratch and holds garbage afterwards.
+    Targets are not checked here (control first for CX): callers pass
+    targets already checked against the register.
 
     Results are bit-identical to the contraction this kernel replaced: one
     zgemm of the gate with the state staged as `(2**arity, N)`, target axes
-    first, then the batch, then the other qubits. Every path here does the
-    same zgemm arithmetic per column, and a column's bits depend only on
-    whether BLAS treats it as a remainder column (the last N mod 4). A
-    one-qubit gate on qubit q is one zgemm per block of the `(2**q, 2, cols)`
-    view when no block has remainder columns; CX is a permutation when the
-    staged product has none; everything else is staged.
+    first, then the batch, then the other qubits. Every path does the same
+    zgemm arithmetic per column, and a column's bits depend only on whether
+    BLAS treats it as a remainder column (the last N mod 4). A one-qubit
+    gate on qubit q is one zgemm per block of the `(2**q, 2, cols)` view when
+    no block has remainder columns; CX is a permutation when the staged
+    product has none; everything else is staged.
     """
-    path, shape, layout = _layout(*src.shape, tuple(targets), matrix is FIXED_MATRICES["CX"])
-    if path == "matmul":
-        np.matmul(matrix, src.reshape(shape), out=out.reshape(shape))
-    elif path == "cx":
-        # adding zero turns -0.0 into +0.0, as the permutation matrix's zgemm does
-        src, out = src.reshape(shape), out.reshape(shape)
-        for source, destination in layout:
-            np.add(src[source], _ZERO, out=out[destination])
-    else:
-        # stage in `out`, multiply into `src`, copy the product back to `out`
-        perm, staged_shape, rows, inverse = layout
-        out.reshape(staged_shape)[...] = src.reshape(shape).transpose(perm)
-        np.dot(matrix, out.reshape(rows), out=src.reshape(rows))
-        out.reshape(shape)[...] = src.reshape(staged_shape).transpose(inverse)
+    _bind(src, out, tuple(targets), matrix is FIXED_MATRICES["CX"])(matrix)
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
@@ -269,7 +288,7 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     src = state.amplitudes.reshape(-1, 1).copy()  # the kernel overwrites its source
     out = np.empty_like(src)
     apply_gate_tensor(src, out, gate.matrix, targets)
-    return StateVector(state.n_qubits, out.reshape(-1))
+    return StateVector(state.n_qubits, out.reshape(-1), _owned=True)
 
 
 def dense_unitary(gate: GateMatrix, targets, n_qubits: int, max_qubits: int = 8) -> np.ndarray:

@@ -8,7 +8,7 @@ bit, so |110> lives at index 6.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -25,16 +25,20 @@ NORM_ATOL = 1e-9
 class StateVector:
     """Immutable 2^n-amplitude register state.
 
-    Construction validates shape, finiteness and normalization, so any
-    StateVector in circulation satisfies the class invariants.
+    Construction copies the amplitudes and validates shape, finiteness and
+    normalization, so any StateVector in circulation owns its read-only
+    buffer and satisfies the class invariants. Internal producers that hand
+    over a fresh complex128 buffer no one else holds pass `_owned=True`,
+    which skips the copy.
     """
 
     n_qubits: int
     amplitudes: np.ndarray = field(repr=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits, max_qubits=None))
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = (np.asarray if _owned else np.array)(self.amplitudes, dtype=np.complex128)
         dim = 1 << self.n_qubits
         if amps.shape != (dim,):
             raise InvariantError(
@@ -69,7 +73,7 @@ def bitstrings(n_qubits: int, indices: np.ndarray) -> list[str]:
 def bitstring_to_index(bits: str) -> int:
     """Map a basis label to its amplitude index (first character = MSB)."""
     if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
-        raise InvalidBitstring(f"expected a non-empty binary string, got {bits!r}")
+        raise InvalidBitstring(f"expected a non-empty bitstring of 0s and 1s, got {bits!r}")
     return int(bits, 2)
 
 
@@ -132,7 +136,7 @@ def make_basis_state(
         )
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(n_qubits, amps)
+    return StateVector(n_qubits, amps, _owned=True)
 
 
 def norm_squared(state) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import dense_execute
+from conftest import dense_execute, random_state
 from qaml import (
     AnsatzOp,
     AnsatzTemplate,
@@ -13,6 +13,7 @@ from qaml import (
     CircuitOp,
     Histogram,
     StateVector,
+    dsl,
     execute,
     make_basis_state,
     measure_once,
@@ -20,7 +21,7 @@ from qaml import (
     sample,
     sample_state,
 )
-from qaml.circuit import _draw_indices
+from qaml.circuit import _draw_indices, _run
 from qaml.errors import (
     ArityMismatch,
     ConfigError,
@@ -29,6 +30,8 @@ from qaml.errors import (
     SimulationError,
     TargetOutOfRange,
 )
+from qaml.gates import apply_gate, gate_from_name
+from qaml.hybrid import LossSpec, _Objective
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -192,6 +195,82 @@ class TestExecute:
             execute(Circuit(2, tuple(ops)))
         assert info.value.op_index == k
         assert str(info.value).startswith(f"op {k} (RX): ")
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def apply_chain(state: StateVector, ops, angles) -> StateVector:
+    """The ops one `apply_gate` call at a time: a fresh matrix and kernel per op."""
+    for op, angle in zip(ops, angles):
+        state = apply_gate(state, gate_from_name(op.gate_name, angle), op.targets)
+    return state
+
+
+# On 4 qubits with one column, RY on qubit 0 takes the matmul path, CX (0, 1)
+# the copy path and H on qubit 3 the staged path.
+PLAN_OPS = (CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1)), CircuitOp("H", (3,)))
+
+
+class TestOpPlan:
+    """`_run` binds one kernel step per (targets, CX, buffer parity) and builds
+    one matrix per op object, within one call; none of it may change a bit."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_returns_the_buffer_of_the_op_count_parity(self, count, rng):
+        state = random_state(4, rng)
+        src = state.amplitudes.reshape(-1, 1).copy()
+        ops = PLAN_OPS[:count]
+        out = _run(src, ops, [op.angle for op in ops])
+        assert (out is src) == (count % 2 == 0)
+        expected = apply_chain(state, ops, [op.angle for op in ops]).amplitudes
+        np.testing.assert_array_equal(bits(out.reshape(-1)), bits(expected))
+
+    def test_interned_ops_at_both_parities_keep_signed_zero_angles_apart(self):
+        # every statement at an even and an odd index: each interned op runs from both buffers
+        lines = ["rz 0 0", "rz 0 -0", "rz 0 -0", "h 0", "rz 1 0"]
+        lines += ["rz 1 0", "rz 0 -0", "rz 0 0", "h 0", "rz 0 0"]
+        circuit = dsl.parse("qubits 2\n" + "\n".join(lines))
+        assert len({id(op) for op in circuit.ops}) == 4
+        zero, negative_zero = circuit.ops[0], circuit.ops[1]
+        assert zero is circuit.ops[7] is circuit.ops[9] and negative_zero is circuit.ops[2]
+        assert math.copysign(1.0, negative_zero.angle) < 0 < math.copysign(1.0, zero.angle)
+        start = make_basis_state(2, "00")
+        expected = apply_chain(start, circuit.ops, [op.angle for op in circuit.ops]).amplitudes
+        np.testing.assert_array_equal(bits(execute(circuit).amplitudes), bits(expected))
+        # the program tells 0.0 from -0.0: one matrix for both signs would move bits
+        for angle in ("0", "-0"):
+            same = [line[:5] + angle if line.startswith("rz") else line for line in lines]
+            uniform = execute(dsl.parse("qubits 2\n" + "\n".join(same))).amplitudes
+            assert not np.array_equal(bits(uniform), bits(expected))
+
+    def test_bound_angles_never_reuse_a_stale_matrix(self, rng):
+        slot = AnsatzOp("RY", (0,), param=0)
+        template = AnsatzTemplate(2, (slot, CircuitOp("CX", (0, 1)), slot), 1)
+        inputs = tuple(random_state(2, rng) for _ in range(3))
+        objective = _Objective(template, LossSpec(inputs))
+        first = objective.probs([0.4, None, 0.4])
+        # one op object bound to two angles in one call, then a second call
+        second = objective.probs([1.1, None, -0.7])
+        fresh = _Objective(template, LossSpec(inputs)).probs([1.1, None, -0.7])
+        np.testing.assert_array_equal(bits(second), bits(fresh))
+        for row, state in enumerate(inputs):
+            for angles, probs in (([0.4, None, 0.4], first), ([1.1, None, -0.7], second)):
+                amps = apply_chain(state, template.ops, angles).amplitudes
+                np.testing.assert_allclose(probs[row], np.abs(amps) ** 2, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_infinite_bound_angle_after_cached_ops_names_its_op(self, k, rng):
+        slot, h = AnsatzOp("RY", (1,), param=0), CircuitOp("H", (0,))
+        template = AnsatzTemplate(2, (h, slot, h, slot, h, slot), 1)
+        objective = _Objective(template, LossSpec((random_state(2, rng),)))
+        angles = [None, 0.2, None, 0.2, None, 0.2]
+        angles[k] = math.inf
+        with pytest.raises(NonFiniteAngle) as info:
+            objective.probs(angles)
+        assert info.value.op_index == k
+        assert str(info.value).startswith(f"op {k} (RY): ")
 
 
 class TestMeasureOnce:

@@ -170,6 +170,8 @@ class TestBadValues:
             # a bitstring must be a string
             (lambda: make_basis_state(2, 5), errors.InvalidBitstring),
             (lambda: encode_basis(b"01"), errors.InvalidBitstring),
+            (lambda: encode_superposition([5]), errors.InvalidBitstring),
+            (lambda: encode_superposition(["01", 5]), errors.InvalidBitstring),
             # names, axes and target sequences
             (lambda: CircuitOp(5, (0,)), errors.UnknownGate),
             (lambda: CircuitOp(None, (0,)), errors.UnknownGate),

@@ -100,3 +100,18 @@ class TestInvariants:
         assert np.count_nonzero(probs) == 1
         assert probs[int(bits, 2)] == 1.0
         assert abs(norm_squared(make_basis_state(n, bits)) - 1.0) < 1e-9
+
+
+class TestOwnership:
+    def test_a_view_of_the_callers_array_does_not_write_through(self):
+        a = np.array([1, 0, 0, 0, 0], dtype=complex)
+        state = StateVector(2, a[:4])
+        a[3] = 5
+        np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
+
+    def test_the_callers_array_stays_writable(self):
+        a = np.array([0, 1], dtype=np.complex128)
+        state = StateVector(1, a)
+        a[0] = 1
+        assert a.flags.writeable
+        np.testing.assert_array_equal(state.amplitudes, [0, 1])
