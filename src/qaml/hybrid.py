@@ -15,10 +15,12 @@ looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
 `_Objective` holds that batch, the Z signs and the labels; `loss_value`,
 `gradient` and `train` take the loss from it, and `_Objective.gradient` is
-the one gradient step, where the method is picked. A shot readout draws its
-samples in blocks of rows, the same stream as drawing sample by sample,
-and `train` runs the unshifted ansatz pass once per iteration, reading it
-for the loss and handing it to the gradient step for the loss factors.
+the one gradient step, where the method is picked. `train` runs the unshifted
+ansatz pass once per iteration, for the loss and the gradient's loss factors.
+Parameter shift walks the template with one running prefix buffer, so each
+shifted pass reruns only the ops from its parameter onward; its readouts run
+in template order (+ then - per op), and a shot readout draws in blocks of
+rows, the same stream as drawing sample by sample.
 """
 
 from __future__ import annotations
@@ -168,6 +170,15 @@ def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> n
     return _run(np.array(tensor, order="C"), template.ops, angles)
 
 
+def _probs(buffer: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of a finished batch-last buffer, one C-contiguous
+    row per sample: the row layout fixes the summation order of `_readout`."""
+    amps = buffer.T
+    probs = np.square(amps.real, order="C")
+    probs += np.square(amps.imag)
+    return probs
+
+
 def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
     """Z expectation per row: exact when `shots` is 0, else a shot estimate.
 
@@ -211,12 +222,8 @@ class _Objective:
         self.shots, self.rng = shots, rng
 
     def probs(self, angles: list) -> np.ndarray:
-        """Outcome probabilities after the ansatz, one C-contiguous row per
-        sample: the row layout fixes the summation order of `_readout`."""
-        amps = _run_ansatz(self.tensor, self.template, angles).T
-        probs = np.square(amps.real, order="C")
-        probs += np.square(amps.imag)
-        return probs
+        """Outcome probabilities after the ansatz, one row per sample."""
+        return _probs(_run_ansatz(self.tensor, self.template, angles))
 
     def loss(self, probs: np.ndarray) -> tuple[float, np.ndarray]:
         """The loss read out from `probs`, and its derivative with respect to
@@ -230,18 +237,22 @@ class _Objective:
 
     def shift_gradient(self, angles: list, factors: np.ndarray) -> np.ndarray:
         """Parameter-shift gradient at the bound `angles`, given the loss
-        `factors` of the unshifted pass: a +pi/2 and a -pi/2 pass per
-        parameterized op, in template order."""
+        `factors` of the unshifted pass: a +pi/2 and a -pi/2 readout per
+        parameterized op k, in template order. A running prefix buffer is
+        advanced to op k, and each shifted pass reruns only ops k.. on a copy
+        of it: kernel bits depend only on buffer shape and targets, not on
+        where a pass starts, so the gradient is that of full passes."""
+        ops = self.template.ops
         d_exps = np.zeros((self.template.n_params, factors.size))
-        for op_idx, op in enumerate(self.template.ops):
+        prefix, done = np.array(self.tensor, order="C"), 0
+        for k, op in enumerate(ops):
             if op.param is None:
                 continue
+            prefix, done = _run(prefix, ops[done:k], angles[done:k]), k
             for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
-                shifted = list(angles)
-                shifted[op_idx] += delta
-                d_exps[op.param] += sign * _readout(
-                    self.probs(shifted), self.signs, self.shots, self.rng
-                )
+                shifted = [angles[k] + delta, *angles[k + 1 :]]
+                probs = _probs(_run(prefix.copy(), ops[k:], shifted))
+                d_exps[op.param] += sign * _readout(probs, self.signs, self.shots, self.rng)
         return d_exps @ factors
 
     def fd_gradient(self, params: np.ndarray, step: float) -> np.ndarray:

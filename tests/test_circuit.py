@@ -260,6 +260,17 @@ class TestOpPlan:
                 amps = apply_chain(state, template.ops, angles).amplitudes
                 np.testing.assert_allclose(probs[row], np.abs(amps) ** 2, atol=1e-12)
 
+    @pytest.mark.parametrize("bound_first", [True, False])
+    def test_one_op_object_at_a_bound_angle_and_at_its_own(self, bound_first, rng):
+        # a matrix is cached by op object only at the op's own angle, so the
+        # bound 0.7 never serves the op's own 0.3 later in the call
+        op = CircuitOp("RY", (1,), 0.3)
+        angles = (0.7, op.angle) if bound_first else (op.angle, 0.7)
+        state = random_state(3, rng)
+        out = _run(state.amplitudes.reshape(-1, 1).copy(), (op, op), angles)
+        expected = apply_chain(state, (op, op), angles).amplitudes
+        np.testing.assert_array_equal(bits(out.reshape(-1)), bits(expected))
+
     @pytest.mark.parametrize("k", [3, 5])
     def test_infinite_bound_angle_after_cached_ops_names_its_op(self, k, rng):
         slot, h = AnsatzOp("RY", (1,), param=0), CircuitOp("H", (0,))

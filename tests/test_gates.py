@@ -153,6 +153,11 @@ class TestGateMatrixChecks:
         with pytest.raises(InvariantError, match="gate bad is not unitary"):
             GateMatrix("bad", 1, [[1, 1], [0, 1]])
 
+    def test_nearly_unitary(self):
+        # |U^dagger U - I| is about 1e-9, on the second diagonal entry
+        with pytest.raises(InvariantError, match="gate bad is not unitary"):
+            GateMatrix("bad", 1, [[1, 0], [0, 1 + 5e-10]])
+
     def test_unknown_rotation_axis(self):
         with pytest.raises(UnknownGate, match="unknown rotation 'RW'"):
             rotation_matrix("RW", 0.1)

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import random_state
 from qaml import (
     AnsatzOp,
     AnsatzTemplate,
+    Circuit,
     CircuitOp,
     EncodingSpec,
     LossSpec,
@@ -30,6 +32,8 @@ from qaml import (
     probabilities,
     train,
 )
+from qaml import hybrid
+from qaml.cli import default_ansatz
 from qaml.errors import (
     ConfigError,
     DatasetError,
@@ -255,6 +259,190 @@ class TestGradient:
         message = r"^op 0 \(RY\): rotation angle must be finite"
         with np.errstate(over="ignore"), pytest.raises(NonFiniteAngle, match=message):
             gradient(RY_TEMPLATE, [big], loss, "finite_difference", fd_step=big)
+
+
+def reference_shift_gradient(template, params, features, labels):
+    """Parameter shift built from `bind` + `execute` alone: every shifted
+    circuit runs in full from |0...0>, behind the angle encoding of its sample,
+    and is read out on qubit 0."""
+    bound = bind(template, params).ops
+    preps = [encode_angle(x).ops for x in features]
+
+    def exps(ops):
+        circuits = [Circuit(template.n_qubits, prep + ops) for prep in preps]
+        return np.array([expectation_z(execute(c), 0) for c in circuits])
+
+    factors = 2.0 * (exps(bound) - np.asarray(labels)) / len(labels)
+    grad = np.zeros(template.n_params)
+    for k, op in enumerate(template.ops):
+        if op.param is None:
+            continue
+        plus, minus = list(bound), list(bound)
+        plus[k] = replace(bound[k], angle=bound[k].angle + math.pi / 2)
+        minus[k] = replace(bound[k], angle=bound[k].angle - math.pi / 2)
+        grad[op.param] += 0.5 * (exps(tuple(plus)) - exps(tuple(minus))) @ factors
+    return grad
+
+
+def encoded(features):
+    return tuple(execute(encode_angle(x)) for x in features)
+
+
+_SHARED_SLOT = AnsatzOp("RY", (1,), param=0)
+
+WALK_TEMPLATES = {
+    # the first shifted pass starts at op 0: its prefix advance is empty
+    "parameter_at_op_0": AnsatzTemplate(
+        3,
+        (
+            AnsatzOp("RY", (0,), param=0),
+            AnsatzOp("CX", (0, 1)),
+            AnsatzOp("H", (2,)),
+            AnsatzOp("RX", (1,), param=1),
+            AnsatzOp("CX", (1, 2)),
+        ),
+        2,
+    ),
+    # each advance between the adjacent parameterized ops is one op long
+    "adjacent_parameters": AnsatzTemplate(
+        3,
+        (
+            AnsatzOp("H", (0,)),
+            AnsatzOp("RY", (0,), param=0),
+            AnsatzOp("RZ", (0,), param=1),
+            AnsatzOp("RX", (2,), param=2),
+            AnsatzOp("CX", (0, 2)),
+        ),
+        3,
+    ),
+    # every suffix runs the fixed tail
+    "fixed_ops_after_the_last_parameter": AnsatzTemplate(
+        3,
+        (
+            AnsatzOp("H", (1,)),
+            AnsatzOp("RX", (1,), param=0),
+            AnsatzOp("CX", (1, 0)),
+            AnsatzOp("Y", (2,)),
+            AnsatzOp("RZ", (2,), param=1),
+            AnsatzOp("H", (0,)),
+            AnsatzOp("CX", (2, 0)),
+            AnsatzOp("X", (1,)),
+            AnsatzOp("Z", (0,)),
+        ),
+        2,
+    ),
+    # slot 0 on two ops, one op object twice: each occurrence shifts alone
+    "one_slot_on_two_ops": AnsatzTemplate(
+        3,
+        (
+            AnsatzOp("RY", (0,), param=0),
+            _SHARED_SLOT,
+            AnsatzOp("CX", (0, 1)),
+            _SHARED_SLOT,
+            AnsatzOp("RX", (2,), param=1),
+            AnsatzOp("CX", (1, 2)),
+        ),
+        2,
+    ),
+    "no_parameters": AnsatzTemplate(3, (AnsatzOp("H", (0,)), AnsatzOp("CX", (0, 2))), 0),
+}
+
+
+class TestShiftWalk:
+    """Parameter shift walks the template with one running prefix buffer; it
+    must match full shifted circuits run by `execute`, and keep the bits of
+    full shifted passes through the batch."""
+
+    FEATURES = ([0.3, 1.2, -0.8], [2.1, -0.4, 0.9], [-1.5, 0.6, 2.7])
+    LABELS = (1.0, -1.0, 1.0)
+
+    def loss(self):
+        return LossSpec(encoded(self.FEATURES), self.LABELS)
+
+    @pytest.mark.parametrize("name", list(WALK_TEMPLATES))
+    def test_matches_full_shifted_circuits(self, name, rng):
+        template = WALK_TEMPLATES[name]
+        params = rng.uniform(-math.pi, math.pi, size=template.n_params)
+        objective = hybrid._Objective(template, self.loss())
+        before = objective.tensor.copy()
+        angles = hybrid._bound_angles(template, params)
+        got = objective.shift_gradient(angles, objective.loss(objective.probs(angles))[1])
+        # the walk copies the stacked batch and never consumes it
+        np.testing.assert_array_equal(objective.tensor.view(np.uint64), before.view(np.uint64))
+        assert got.shape == (template.n_params,)
+        expected = reference_shift_gradient(template, params, self.FEATURES, self.LABELS)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        public = gradient(template, params, self.loss())
+        np.testing.assert_array_equal(public.view(np.uint64), got.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "template, batch",
+        [(t, 3) for t in WALK_TEMPLATES.values()] + [(default_ansatz(6), 40)],
+        ids=[*WALK_TEMPLATES, "default_ansatz_6"],
+    )
+    def test_keeps_the_bits_of_full_shifted_passes(self, template, batch, rng):
+        inputs = tuple(random_state(template.n_qubits, rng) for _ in range(batch))
+        labels = tuple(rng.choice([-1.0, 1.0], batch))
+        objective = hybrid._Objective(template, LossSpec(inputs, labels))
+        angles = hybrid._bound_angles(template, rng.uniform(-3, 3, size=template.n_params))
+        factors = objective.loss(objective.probs(angles))[1]
+        d_exps = np.zeros((template.n_params, batch))
+        for k, op in enumerate(template.ops):
+            if op.param is None:
+                continue
+            for delta, sign in ((math.pi / 2, 0.5), (-math.pi / 2, -0.5)):
+                shifted = list(angles)
+                shifted[k] += delta
+                exps = hybrid._readout(objective.probs(shifted), objective.signs)
+                d_exps[op.param] += sign * exps
+        got = objective.shift_gradient(angles, factors)
+        np.testing.assert_array_equal(got.view(np.uint64), (d_exps @ factors).view(np.uint64))
+
+    def test_random_templates_match_full_shifted_circuits(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(1, 4))
+            template = random_template(3, m, depth=int(rng.integers(1, 8)), rng=rng)
+            params = rng.uniform(-math.pi, math.pi, size=m)
+            expected = reference_shift_gradient(template, params, self.FEATURES, self.LABELS)
+            got = gradient(template, params, self.loss())
+            np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+class TestPassCount:
+    """Each training iteration reads the unshifted pass twice (the loss, then
+    the gradient's loss factors) and one shifted pass per parameterized op and
+    sign, and the shifted passes rerun only the ops from their parameter on."""
+
+    DATA = [([0.4, 1.1, -0.2], 1), ([2.5, -0.3, 0.8], -1), ([0.9, 0.1, 1.7], 1)]
+
+    def counted(self, monkeypatch, name, size):
+        calls = []
+        wrapped = getattr(hybrid, name)
+
+        def counting(*args, **kwargs):
+            calls.append(size(*args))
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_readouts_and_ops_per_iteration(self, monkeypatch, shots):
+        readouts = self.counted(monkeypatch, "_readout", lambda *args: 1)
+        ops_run = self.counted(monkeypatch, "_run", lambda src, ops, angles: len(ops))
+        template = default_ansatz(3)
+        iterations = 3
+        config = TrainConfig(max_iterations=iterations, convergence_tol=0.0, shots=shots, seed=5)
+        report = train(template, self.DATA, EncodingSpec("angle"), config)
+        assert report.iterations_run == iterations
+        n_ops = len(template.ops)
+        shifted = [k for k, op in enumerate(template.ops) if op.param is not None]
+        assert len(readouts) == iterations * (2 + 2 * len(shifted))
+        # per iteration: the unshifted pass, prefix advances up to the last
+        # parameterized op, and two suffixes per parameterized op
+        walk = n_ops + shifted[-1] + 2 * sum(n_ops - k for k in shifted)
+        final_pass = n_ops if shots else 0
+        assert sum(ops_run) == iterations * walk + final_pass
 
 
 class TestLossSpecQubitCount:

@@ -80,6 +80,17 @@ class TestInvariants:
         with pytest.raises(ValueError):
             StateVector(1, [1.0, 1.0])
 
+    @pytest.mark.parametrize("offset", [5e-9, -5e-9])
+    def test_rejects_norm_just_past_tolerance(self, offset):
+        amps = np.full(2, np.sqrt((1.0 + offset) / 2.0))
+        with pytest.raises(InvariantError, match="state is not normalized"):
+            StateVector(1, amps)
+
+    @pytest.mark.parametrize("offset", [5e-10, -5e-10])
+    def test_accepts_norm_within_tolerance(self, offset):
+        amps = np.full(2, np.sqrt((1.0 + offset) / 2.0))
+        assert abs(norm_squared(StateVector(1, amps)) - (1.0 + offset)) < 1e-15
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             StateVector(1, [np.nan, 0.0])
