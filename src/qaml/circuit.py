@@ -1,9 +1,10 @@
 """Circuit intermediate representation, execution, and basis measurement.
 
 `_run` is the one op loop: it applies the gate kernel in program order to a
-batch-last `(2^n, batch)` buffer, alternating two buffers, and binds each
-kernel step (`gates._bind`) and builds each op matrix once per call. `execute`
-runs it on a |0...0> column and `hybrid` on a batch of encoded samples.
+batch-last `(2^n, batch)` buffer and a scratch buffer, follows the axis order
+a staged gate leaves, and binds each kernel step (`gates._bind`) and builds
+each op matrix once per call. `execute` runs it on a |0...0> column and
+`hybrid` on a batch of encoded samples.
 Ops pass the op and target rules when built and `_check_ops` (register fit)
 in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
 Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
@@ -95,12 +96,13 @@ class Histogram:
 
 
 def _run(src: np.ndarray, ops, angles) -> np.ndarray:
-    """The one op loop: apply the sequence `ops` at `angles` to the batch-last buffer
-    `src` (consumed) and a scratch buffer, op k reading buffer k & 1. One step per
-    (targets, CX, parity) and one matrix per op object whose angle is its own (by
-    identity, so a bound or `-0.0` angle never gets a `0.0` op's matrix) serve the call."""
-    buffers = (src, np.empty_like(src))
-    steps, matrices = {}, {}
+    """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed)
+    and a scratch buffer, following the axis order staged gates leave; the result is in
+    qubit order. One plan per (targets, CX, buffer, axis order) and one matrix per op
+    object whose angle is its own (by identity, so a bound or `-0.0` angle never gets a
+    `0.0` op's matrix) serve the call."""
+    buffers, current, order = (src, np.empty_like(src)), 0, tuple(range(src.shape[0].bit_length()))
+    plans, matrices = {}, {}
     for index, (op, angle) in enumerate(zip(ops, angles)):
         if angle is not op.angle or (matrix := matrices.get(id(op))) is None:
             try:
@@ -111,12 +113,16 @@ def _run(src: np.ndarray, ops, angles) -> np.ndarray:
                 raise
             if angle is op.angle:
                 matrices[id(op)] = matrix
-        key = (op.targets, op.gate_name == "CX", index & 1)
-        if (step := steps.get(key)) is None:
-            targets, is_cx, parity = key
-            step = steps[key] = gates._bind(buffers[parity], buffers[1 - parity], targets, is_cx)
+        key = (op.targets, op.gate_name == "CX", current, order)
+        if (plan := plans.get(key)) is None:
+            step, into_out, after = gates._bind(buffers[current], buffers[1 - current], order, *key[:2])
+            plan = plans[key] = (step, current ^ into_out, after)
+        step, current, order = plan
         step(matrix)
-    return buffers[len(ops) & 1]
+    if order != tuple(sorted(order)):
+        gates._restore(buffers[current], buffers[1 - current], order)
+        current ^= 1
+    return buffers[current]
 
 
 def execute(circuit: Circuit) -> StateVector:
@@ -162,11 +168,6 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw_indices(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The reference inverse-CDF draw of `count` outcome indices from one probability row."""
-    return np.searchsorted(_cdf(probs), rng.random(count), side="right")
-
-
 def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:
     """Sample one basis outcome and collapse; deterministic per (state, seed)."""
     bits = next(iter(sample_state(state, 1, seed).counts))
@@ -176,9 +177,9 @@ def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:
 def sample_state(state: StateVector, shots: int, seed: int) -> Histogram:
     """Draw `shots` independent Born-rule samples from a fixed state.
 
-    The draws are those of `_draw_indices`; they are counted per outcome by
-    sorting them and locating each CDF entry among them, which gives the
-    same histogram without mapping every draw to its outcome."""
+    The draws are those of the reference sampler in `tests/conftest.py`; they
+    are counted per outcome by sorting them and locating each CDF entry among
+    them, which gives the same histogram without mapping each to its outcome."""
     shots = _check_shots(shots)
     draws = _rng(seed).random(shots)
     draws.sort()

@@ -1,12 +1,14 @@
 """Gate matrices and their application to state vectors.
 
-The one gate kernel is `_bind(src, out, targets, is_cx)`: it builds its views
-of two batch-last `(2^n, batch)` buffers once, on the path `_layout` caches,
-and returns `step(matrix)`, which applies a 2x2 or 4x4 unitary from `src` into
-`out` in O(2^n * batch) time with only its numpy calls. `apply_gate_tensor`
-binds and steps once, for `apply_gate`; the one op loop, `circuit._run`
-(behind `execute` and `hybrid`'s batched ansatz pass), reuses a step per
-targets and buffer parity. The results are bit-identical to the batch-first
+The one gate kernel is `_bind(src, out, order, targets, is_cx)`: it builds its
+views of two batch-last `(2^n, batch)` buffers, axes in `order`, once, on the
+path `_layout` caches, and returns `step(matrix)`, which applies a 2x2 or 4x4
+unitary in O(2^n * batch) time with only its numpy calls. A staged step leaves
+its product in `src`, target axes first; the caller tracks that axis order
+until `_restore` puts the qubits back. `apply_gate_tensor` binds, steps and
+restores once, for `apply_gate`; the one op loop, `circuit._run` (behind
+`execute` and `hybrid`'s batched ansatz pass), reuses a step per targets,
+buffer and axis order. The results are bit-identical to the batch-first
 contraction kernel it replaced, which `tests/test_kernel_oracle.py` keeps as
 its oracle: every path runs the same BLAS zgemm arithmetic or, for CX, copies
 that give the same bits. There is no elementwise pair-update or phase-multiply
@@ -188,8 +190,8 @@ def _check_targets(targets, arity: int, n_qubits: int | None = None) -> tuple[in
     return checked
 
 
-# A one-qubit gate on qubit q runs as one zgemm per (2, cols) block of the
-# (2**q, 2, cols) view when cols is a multiple of 4, so that BLAS has no
+# A one-qubit gate runs as one zgemm per (2, cols) block of the (blocks, 2,
+# cols) view around its axis when cols is a multiple of 4, so that BLAS has no
 # remainder columns, and when the blocks are wide or few: each zgemm call
 # costs about as much as staging 50 amplitudes (measured at n = 10 to 20).
 MATMUL_MIN_COLS = 32
@@ -197,43 +199,43 @@ MATMUL_MAX_BLOCKS = 32
 
 
 @functools.lru_cache(maxsize=1024)
-def _layout(dim: int, batch: int, targets: tuple[int, ...], is_cx: bool) -> tuple:
-    """How the kernel runs a gate on `targets` of a `(dim, batch)` buffer,
-    worked out once per key: `("matmul", shape, None)`, `("cx", shape,
-    (source, destination) slice pairs)` or `("staged", tensor_shape, (perm,
-    staged_shape, rows, inverse))`."""
+def _layout(dim: int, batch: int, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool) -> tuple:
+    """How the kernel runs a gate on `targets` of a `(dim, batch)` buffer whose axes
+    (qubits, then the batch as axis n) lie in `order`, worked out once per key: `(path,
+    shape, layout, order after)` for `"matmul"`, `"cx"` (with (source, destination)
+    slice pairs) or `"staged"` (target axes first, the batch, then the other qubits)."""
+    sizes = tuple(batch if axis == len(order) - 1 else 2 for axis in order)
+    where = tuple(order.index(target) for target in targets)
     if len(targets) == 1:
-        q = targets[0]
-        cols = (dim >> (q + 1)) * batch
-        if cols % 4 == 0 and (cols >= MATMUL_MIN_COLS or (1 << q) <= MATMUL_MAX_BLOCKS):
-            return "matmul", (1 << q, 2, cols), None
+        blocks, cols = math.prod(sizes[: where[0]]), math.prod(sizes[where[0] + 1 :])
+        if cols % 4 == 0 and (cols >= MATMUL_MIN_COLS or blocks <= MATMUL_MAX_BLOCKS):
+            return "matmul", (blocks, 2, cols), None, order
     elif is_cx and (dim >> 2) * batch % 4 == 0:
-        lo, hi = sorted(targets)
-        shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, (dim >> (hi + 1)) * batch)
-        c_axis, t_axis = (1, 3) if targets[0] < targets[1] else (3, 1)
+        lo, hi = sorted(where)
+        shape = (math.prod(sizes[:lo]), 2, math.prod(sizes[lo + 1 : hi]), 2, math.prod(sizes[hi + 1 :]))
+        c_axis, t_axis = (1, 3) if where[0] < where[1] else (3, 1)
 
         def at(c_bit, t_bit=slice(None)):
             index = [slice(None)] * 5
             index[c_axis], index[t_axis] = c_bit, t_bit
             return tuple(index)
 
-        return "cx", shape, ((at(0), at(0)), (at(1, 1), at(1, 0)), (at(1, 0), at(1, 1)))
-    n = dim.bit_length() - 1
-    perm = (*targets, n, *(k for k in range(n) if k not in targets))
-    tensor_shape = (2,) * n + (batch,)
-    inverse = tuple(sorted(range(n + 1), key=perm.__getitem__))
-    staged_shape = tuple(tensor_shape[k] for k in perm)
-    return "staged", tensor_shape, (perm, staged_shape, (1 << len(targets), -1), inverse)
+        return "cx", shape, ((at(0), at(0)), (at(1, 1), at(1, 0)), (at(1, 0), at(1, 1))), order
+    front = (*where, order.index(len(order) - 1))
+    perm = (*front, *(k for k in range(len(order)) if k not in front))
+    staged_shape = tuple(sizes[k] for k in perm)
+    return "staged", sizes, (perm, staged_shape, (1 << len(targets), -1)), tuple(order[k] for k in perm)
 
 
-def _bind(src: np.ndarray, out: np.ndarray, targets: tuple[int, ...], is_cx: bool):
-    """The kernel with its `_layout` path and its views of both buffers built
-    once: `step(matrix)` applies the gate from `src` into `out` and makes only
-    its numpy calls. A step is valid while both buffers live."""
-    path, shape, layout = _layout(*src.shape, targets, is_cx)
+def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool):
+    """The kernel for `src` with its axes in `order`, its path and views built once:
+    `(step, into_out, order after)`. `step(matrix)` makes only its numpy calls and
+    leaves the product in `out`, or for a staged gate in `src`, with its axes in the
+    order after. A step is valid while both buffers live."""
+    path, shape, layout, after = _layout(*src.shape, order, targets, is_cx)
     if path == "matmul":
         src, out = src.reshape(shape), out.reshape(shape)
-        return lambda matrix: np.matmul(matrix, src, out=out)
+        return (lambda matrix: np.matmul(matrix, src, out=out)), True, after
     if path == "cx":
         pairs = [(src.reshape(shape)[s], out.reshape(shape)[d]) for s, d in layout]
 
@@ -242,40 +244,50 @@ def _bind(src: np.ndarray, out: np.ndarray, targets: tuple[int, ...], is_cx: boo
             for source, destination in pairs:
                 np.add(source, _ZERO, out=destination)
 
-        return step
-    # stage in `out`, multiply into `src`, copy the product back to `out`
-    perm, staged_shape, rows, inverse = layout
+        return step, True, after
+    # stage in `out`, multiply into `src`: the product stays in the staged order
+    perm, staged_shape, rows = layout
     staged, stage_from = out.reshape(staged_shape), src.reshape(shape).transpose(perm)
     operand, product = out.reshape(rows), src.reshape(rows)
-    result, unstage_from = out.reshape(shape), src.reshape(staged_shape).transpose(inverse)
 
     def step(matrix):
         staged[...] = stage_from
         np.dot(matrix, operand, out=product)
-        result[...] = unstage_from
 
-    return step
+    return step, False, after
+
+
+def _restore(src: np.ndarray, out: np.ndarray, order: tuple[int, ...]) -> None:
+    """Copy `src`, whose axes lie in `order`, into `out` in qubit order."""
+    tensor = src.reshape([src.shape[1] if axis == len(order) - 1 else 2 for axis in order])
+    out.reshape((2,) * (len(order) - 1) + (-1,))[...] = tensor.transpose(np.argsort(order))
 
 
 def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
     """Apply a 2x2 or 4x4 unitary to the named qubits, writing into `out`.
 
-    The one gate kernel, bound by `_bind` and stepped once. `src` and `out`
-    are distinct C-contiguous `(2**n, batch)` complex128 buffers, one column
-    per state (batch-last); `src` is scratch and holds garbage afterwards.
-    Targets are not checked here (control first for CX): callers pass
-    targets already checked against the register.
+    The one gate kernel, bound by `_bind` and stepped once, then restored to
+    qubit order in `out` if it was staged. `src` and `out` are distinct
+    C-contiguous `(2**n, batch)` complex128 buffers, one column per state
+    (batch-last); `src` is scratch and holds garbage afterwards. Targets are
+    not checked here (control first for CX): callers pass targets already
+    checked against the register.
 
     Results are bit-identical to the contraction this kernel replaced: one
     zgemm of the gate with the state staged as `(2**arity, N)`, target axes
     first, then the batch, then the other qubits. Every path does the same
     zgemm arithmetic per column, and a column's bits depend only on whether
-    BLAS treats it as a remainder column (the last N mod 4). A one-qubit
-    gate on qubit q is one zgemm per block of the `(2**q, 2, cols)` view when
-    no block has remainder columns; CX is a permutation when the staged
-    product has none; everything else is staged.
+    BLAS treats it as a remainder column (the last N mod 4), whatever the axis
+    order. A one-qubit gate is one zgemm per block of the `(blocks, 2, cols)`
+    view around its axis when no block has remainder columns; CX is a
+    permutation when the staged product has none; everything else is staged
+    (N mod 4 > 0 leaves at most one other qubit, in the contraction's order).
     """
-    _bind(src, out, tuple(targets), matrix is FIXED_MATRICES["CX"])(matrix)
+    order = tuple(range(src.shape[0].bit_length()))
+    step, into_out, after = _bind(src, out, order, tuple(targets), matrix is FIXED_MATRICES["CX"])
+    step(matrix)
+    if not into_out:
+        _restore(src, out, after)
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:

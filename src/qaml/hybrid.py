@@ -184,10 +184,11 @@ def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> 
 
     The shot estimate takes `shots` draws per row from `rng`, in row blocks of
     at most `MAX_SHOTS` draws that Philox fills row-major, which equals drawing
-    the rows one after another with `_draw_indices`. A draw u lands at or
-    past outcome b exactly when u >= cdf[b - 1], so counting draws at or past
-    each sign change of `signs` gives the number of -1 outcomes without
-    mapping any draw to its outcome."""
+    the rows one after another with the inverse-CDF reference sampler
+    `draw_indices` in `tests/conftest.py`. A draw u lands at or past outcome
+    b exactly when u >= cdf[b - 1], so counting draws at or past each sign
+    change of `signs` gives the number of -1 outcomes without mapping any
+    draw to its outcome."""
     if shots == 0:
         return probs @ signs
     cuts = _cdf(probs)[:, np.flatnonzero(signs[1:] != signs[:-1])]

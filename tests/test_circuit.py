@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import dense_execute, random_state
+from conftest import dense_execute, draw_indices, random_state, wide_ops
 from qaml import (
     AnsatzOp,
     AnsatzTemplate,
@@ -21,7 +21,7 @@ from qaml import (
     sample,
     sample_state,
 )
-from qaml.circuit import _draw_indices, _run
+from qaml.circuit import _run
 from qaml.errors import (
     ArityMismatch,
     ConfigError,
@@ -214,8 +214,10 @@ PLAN_OPS = (CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1)), CircuitOp("H", 
 
 
 class TestOpPlan:
-    """`_run` binds one kernel step per (targets, CX, buffer parity) and builds
-    one matrix per op object, within one call; none of it may change a bit."""
+    """`_run` binds one kernel step per (targets, CX, buffer, axis order),
+    leaves a staged product in its staged axis order until the end of the
+    call, and builds one matrix per op object, within one call; none of it
+    may change a bit."""
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     def test_returns_the_buffer_of_the_op_count_parity(self, count, rng):
@@ -271,6 +273,14 @@ class TestOpPlan:
         expected = apply_chain(state, (op, op), angles).amplitudes
         np.testing.assert_array_equal(bits(out.reshape(-1)), bits(expected))
 
+    def test_staged_products_keep_their_axis_order_on_the_wide_program(self, kernel_paths):
+        # wide20's 87 ops on 20 qubits: a staged product is left in its staged
+        # layout, so later gates on its qubits run as a matmul and only 6 ops
+        # stage; copying each staged product back to qubit order stages 19
+        execute(Circuit(20, tuple(wide_ops(20))))
+        assert len(kernel_paths) == 87
+        assert [path for path, _ in kernel_paths].count("staged") == 6
+
     @pytest.mark.parametrize("k", [3, 5])
     def test_infinite_bound_angle_after_cached_ops_names_its_op(self, k, rng):
         slot, h = AnsatzOp("RY", (1,), param=0), CircuitOp("H", (0,))
@@ -320,7 +330,7 @@ class TestMeasureOnce:
         a = math.sqrt(0.3)
         b = math.sqrt(0.7 - 5e-10)
         state = StateVector(2, [a, b, 0.0, 0.0])
-        assert _draw_indices(probabilities(state), 4, AlmostOne()).tolist() == [1, 1, 1, 1]
+        assert draw_indices(probabilities(state), 4, AlmostOne()).tolist() == [1, 1, 1, 1]
 
     def test_amplitude_encoded_frequencies(self):
         # P("01") = 2.7^2 / 10.19 per the normalization-factor oracle

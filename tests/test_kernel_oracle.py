@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wide_ops
 from qaml import Circuit, CircuitOp, execute, gates
 from qaml.gates import GATE_ARITY, ROTATION_GATES, op_matrix
 from qaml.hybrid import AnsatzTemplate, _run_ansatz
@@ -128,6 +129,19 @@ def test_random_circuits(n, batch, depth, kind, seed):
     assert_ansatz_matches(input_rows(kind, batch, 1 << n, rng), ops)
 
 
+def test_wide_program_on_relabeled_axes(kernel_paths):
+    # On 12 qubits the RY row stages qubits 7 to 11 one after another; each
+    # staged product leaves the axes out of qubit order, and the later
+    # one-qubit gates and CXs run on those relabeled axes.
+    circuit = Circuit(12, tuple(wide_ops(12)))
+    np.testing.assert_array_equal(bits(execute(circuit).amplitudes), bits(oracle_execute(circuit)))
+    assert [path for path, _ in kernel_paths[7:12]] == ["staged"] * 5
+    assert {("matmul", False), ("cx", False)} <= set(kernel_paths[12:])
+    rng = np.random.default_rng(17)
+    for batch in (3, 5):
+        assert_ansatz_matches(input_rows("random", batch, 1 << 12, rng), circuit.ops)
+
+
 def test_run_ansatz_leaves_its_input_alone():
     rng = np.random.default_rng(7)
     rows = input_rows("random", 3, 8, rng)
@@ -141,8 +155,10 @@ def test_run_ansatz_leaves_its_input_alone():
 
 def test_layout_cache_tells_batches_registers_and_target_orders_apart():
     # One cache serves every call in a process: a key without the batch
-    # width, the register size or the target order would hand a later call
-    # the layout of an earlier one.
+    # width, the register size, the target order or the axis order would hand
+    # a later call the layout of an earlier one. In the last case H on qubit 3
+    # is staged and relabels the axes, so the second RY on qubit 0 runs from
+    # the same buffer as the first but on a different axis order.
     gates._layout.cache_clear()
     rng = np.random.default_rng(11)
     cases = [
@@ -152,6 +168,8 @@ def test_layout_cache_tells_batches_registers_and_target_orders_apart():
         (4, 4, [CircuitOp("RY", (0,), 0.3)]),
         (3, 4, [CircuitOp("CX", (0, 1)), CircuitOp("CX", (1, 0))]),
         (4, 1, [CircuitOp("H", (0,)), CircuitOp("CX", (0, 1)), CircuitOp("CX", (1, 0))]),
+        (4, 3, [CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1))]
+         + [CircuitOp("H", (3,)), CircuitOp("RY", (0,), 0.3)]),
     ]
     for n, batch, ops in cases:
         assert_ansatz_matches(input_rows("random", batch, 1 << n, rng), ops)

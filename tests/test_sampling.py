@@ -3,7 +3,8 @@
 `hybrid._readout` takes its draws in blocks of rows and counts them at the
 sign changes of the Z signs; `circuit.sample_state` counts sorted draws
 per outcome. Both must give exactly what drawing outcome indices one row at a
-time with `_draw_indices` gives, and leave the generator in the same state.
+time with the reference sampler, `conftest.draw_indices`, gives, and leave
+the generator in the same state.
 """
 
 import tracemalloc
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import draw_indices
 from qaml import StateVector, circuit, hybrid, probabilities, sample_state
-from qaml.circuit import _draw_indices, _rng
+from qaml.circuit import _rng
 from qaml.hybrid import _readout, _z_signs
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -49,7 +51,7 @@ def test_shot_readout_equals_per_row_draws(case, shots, seed):
     n, qubit, probs = case
     signs = _z_signs(n, qubit)
     reference_rng, rng = _rng(seed), _rng(seed)
-    reference = np.array([signs[_draw_indices(row, shots, reference_rng)].mean() for row in probs])
+    reference = np.array([signs[draw_indices(row, shots, reference_rng)].mean() for row in probs])
     got = _readout(probs, signs, shots, rng)
     assert got.tobytes() == reference.tobytes()
     assert rng.random() == reference_rng.random()
@@ -105,7 +107,7 @@ def sampled_state(draw):
 
 @given(sampled_state(), st.integers(1, 5000), SEEDS)
 def test_sample_state_counts_equal_bincount_of_draws(state, shots, seed):
-    indices = _draw_indices(probabilities(state), shots, _rng(seed))
+    indices = draw_indices(probabilities(state), shots, _rng(seed))
     counts = np.bincount(indices, minlength=state.dim)
     reference = [(state.bitstring(i), int(c)) for i, c in enumerate(counts) if c > 0]
     assert list(sample_state(state, shots, seed).counts.items()) == reference
@@ -122,7 +124,7 @@ def test_sample_state_counts_equal_bincount_of_draws(state, shots, seed):
 )
 def test_sample_state_at_draw_extremes(monkeypatch, u, probs, expected):
     state = StateVector(len(expected), np.sqrt(probs))
-    index = _draw_indices(probabilities(state), 1, ConstantDraws(u))[0]
+    index = draw_indices(probabilities(state), 1, ConstantDraws(u))[0]
     assert state.bitstring(int(index)) == expected
     monkeypatch.setattr(circuit, "_rng", lambda seed: ConstantDraws(u))
     assert sample_state(state, 3, 0).counts == {expected: 3}
