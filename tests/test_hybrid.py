@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from qaml import (
     probabilities,
     train,
 )
-from qaml import hybrid
+from qaml import gates, hybrid
 from qaml.cli import default_ansatz
 from qaml.errors import (
     ConfigError,
@@ -429,7 +430,7 @@ class TestPassCount:
     @pytest.mark.parametrize("shots", [0, 64])
     def test_readouts_and_ops_per_iteration(self, monkeypatch, shots):
         readouts = self.counted(monkeypatch, "_readout", lambda *args: 1)
-        ops_run = self.counted(monkeypatch, "_run", lambda src, ops, angles: len(ops))
+        ops_run = self.counted(monkeypatch, "_run", lambda src, ops, angles, *rest: len(ops))
         template = default_ansatz(3)
         iterations = 3
         config = TrainConfig(max_iterations=iterations, convergence_tol=0.0, shots=shots, seed=5)
@@ -443,6 +444,79 @@ class TestPassCount:
         walk = n_ops + shifted[-1] + 2 * sum(n_ops - k for k in shifted)
         final_pass = n_ops if shots else 0
         assert sum(ops_run) == iterations * walk + final_pass
+
+
+class TestObjectiveBuffers:
+    """An objective's passes run in three buffers it owns, with the kernel
+    steps bound for them kept as long as it lives: after the first training
+    iteration no pass binds a step, and no pass may see a stale buffer or a
+    stale step."""
+
+    DATA = TestPassCount.DATA
+
+    def test_training_binds_only_in_its_first_iteration(self, monkeypatch):
+        binds, starts = [], []
+        bind, probs = gates._bind, hybrid._Objective.probs
+
+        def counting_bind(*args):
+            binds.append(args)
+            return bind(*args)
+
+        def marking_probs(objective, angles):  # train runs one unshifted pass per iteration
+            starts.append(len(binds))
+            return probs(objective, angles)
+
+        monkeypatch.setattr(gates, "_bind", counting_bind)
+        monkeypatch.setattr(hybrid._Objective, "probs", marking_probs)
+        config = TrainConfig(max_iterations=3, convergence_tol=0.0)
+        report = train(default_ansatz(3), self.DATA, EncodingSpec("angle"), config)
+        assert report.iterations_run == 3
+        per_iteration = np.diff([*starts, len(binds)]).tolist()
+        assert per_iteration[0] > 0 and per_iteration[1:] == [0, 0]
+
+    @pytest.mark.parametrize("n_qubits, batch", [(4, 5), (6, 40)])
+    def test_second_calls_match_a_fresh_objective(self, n_qubits, batch, rng):
+        # batch 5 on 4 qubits runs matmul, copy and staged steps
+        template = default_ansatz(n_qubits)
+        inputs = tuple(random_state(n_qubits, rng) for _ in range(batch))
+        loss = LossSpec(inputs, tuple(rng.choice([-1.0, 1.0], batch)))
+        first, second = (
+            hybrid._bound_angles(template, rng.uniform(-3, 3, size=template.n_params))
+            for _ in range(2)
+        )
+        objective = hybrid._Objective(template, loss)
+        objective.shift_gradient(first, objective.loss(objective.probs(first))[1])
+        probs = objective.probs(second)
+        factors = objective.loss(probs)[1]
+        got = objective.shift_gradient(second, factors)
+        fresh_probs = hybrid._Objective(template, loss).probs(second)
+        fresh = hybrid._Objective(template, loss).shift_gradient(second, factors)
+        np.testing.assert_array_equal(probs.view(np.uint64), fresh_probs.view(np.uint64))
+        np.testing.assert_array_equal(got.view(np.uint64), fresh.view(np.uint64))
+
+    def test_run_with_a_callers_scratch_allocates_no_buffer(self, rng):
+        # on 11 qubits with 8 columns: matmul, copy and staged steps, then a restore
+        ops = (
+            CircuitOp("H", (0,)),
+            CircuitOp("CX", (0, 1)),
+            CircuitOp("RY", (10,), 0.3),
+            CircuitOp("H", (9,)),
+        )
+        tensor = np.stack([random_state(11, rng).amplitudes for _ in range(8)], axis=1)
+
+        def peak(scratch):
+            src = tensor.copy()
+            tracemalloc.start()
+            try:
+                out = hybrid._run(src, ops, [op.angle for op in ops], scratch)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        own, fresh = peak(np.empty_like(tensor)), peak(None)
+        assert own[0] < tensor.nbytes // 2  # bookkeeping only: a buffer is 256 KiB
+        assert fresh[0] >= tensor.nbytes  # the measure sees a per-call scratch buffer
+        np.testing.assert_array_equal(own[1].view(np.uint64), fresh[1].view(np.uint64))
 
 
 class TestLossSpecQubitCount:
