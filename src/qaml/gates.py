@@ -5,17 +5,15 @@ views of two batch-last `(2^n, batch)` buffers, axes in `order`, once, on the
 path `_layout` caches, and returns `step(matrix)`, which applies a 2x2 or 4x4
 unitary in O(2^n * batch) time with only its numpy calls. A staged step leaves
 its product in `src`, target axes first; the caller tracks that axis order
-until `_restore` puts the qubits back. `apply_gate_tensor` binds, steps and
-restores once, for `apply_gate`; the one op loop, `circuit._run` (behind
-`execute` and `hybrid`'s batched ansatz pass), reuses a step per targets,
-buffer and axis order. The results are bit-identical to the batch-first
-contraction kernel it replaced, which `tests/test_kernel_oracle.py` keeps as
-its oracle: every path runs the same BLAS zgemm arithmetic or, for CX, copies
-that give the same bits. There is no elementwise pair-update or phase-multiply
-path, because numpy's complex arithmetic does not fuse multiply-adds as
-OpenBLAS zgemm does, which would move the last bits. The full 2^n x 2^n
-operator is only ever materialized by the small-instance test oracle
-`dense_unitary`.
+until `_restore` puts the qubits back. `apply_gate` binds, steps and restores
+once; the one op loop, `circuit._run` (behind `execute` and `hybrid`'s batched
+ansatz pass), reuses a step per targets, buffer and axis order. The results
+are bit-identical to the batch-first contraction kernel it replaced, which
+`tests/test_kernel_oracle.py` keeps as its oracle (see `_bind`). There is no
+elementwise pair-update or phase-multiply path, because numpy's complex
+arithmetic does not fuse multiply-adds as OpenBLAS zgemm does, which would
+move the last bits. The full 2^n x 2^n operator is only ever materialized by
+the small-instance test oracle `dense_unitary`.
 """
 
 from __future__ import annotations
@@ -228,10 +226,20 @@ def _layout(dim: int, batch: int, order: tuple[int, ...], targets: tuple[int, ..
 
 
 def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool):
-    """The kernel for `src` with its axes in `order`, its path and views built once:
-    `(step, into_out, order after)`. `step(matrix)` makes only its numpy calls and
-    leaves the product in `out`, or for a staged gate in `src`, with its axes in the
-    order after. A step is valid while both buffers live."""
+    """The kernel for distinct C-contiguous `(2**n, batch)` complex128 buffers `src`,
+    its axes in `order`, and `out`, its path and views built once: `(step, into_out,
+    order after)`. `step(matrix)` makes only its numpy calls and leaves the product in
+    `out`, or for a staged gate in `src`, with its axes in the order after. A step is
+    valid while both buffers live. Targets are not checked here (control first for CX).
+
+    Results are bit-identical to the contraction this kernel replaced: one zgemm of
+    the gate with the state staged as `(2**arity, N)`, target axes first, then the
+    batch, then the other qubits. Every path does the same zgemm arithmetic per column,
+    and a column's bits depend only on whether BLAS treats it as a remainder column
+    (the last N mod 4), whatever the axis order. A one-qubit gate is one zgemm per
+    block of the `(blocks, 2, cols)` view around its axis when no block has remainder
+    columns; CX is a permutation when the staged product has none; everything else is
+    staged (N mod 4 > 0 leaves at most one other qubit, in the contraction's order)."""
     path, shape, layout, after = _layout(*src.shape, order, targets, is_cx)
     if path == "matmul":
         src, out = src.reshape(shape), out.reshape(shape)
@@ -263,33 +271,6 @@ def _restore(src: np.ndarray, out: np.ndarray, order: tuple[int, ...]) -> None:
     out.reshape((2,) * (len(order) - 1) + (-1,))[...] = tensor.transpose(np.argsort(order))
 
 
-def apply_gate_tensor(src: np.ndarray, out: np.ndarray, matrix: np.ndarray, targets) -> None:
-    """Apply a 2x2 or 4x4 unitary to the named qubits, writing into `out`.
-
-    The one gate kernel, bound by `_bind` and stepped once, then restored to
-    qubit order in `out` if it was staged. `src` and `out` are distinct
-    C-contiguous `(2**n, batch)` complex128 buffers, one column per state
-    (batch-last); `src` is scratch and holds garbage afterwards. Targets are
-    not checked here (control first for CX): callers pass targets already
-    checked against the register.
-
-    Results are bit-identical to the contraction this kernel replaced: one
-    zgemm of the gate with the state staged as `(2**arity, N)`, target axes
-    first, then the batch, then the other qubits. Every path does the same
-    zgemm arithmetic per column, and a column's bits depend only on whether
-    BLAS treats it as a remainder column (the last N mod 4), whatever the axis
-    order. A one-qubit gate is one zgemm per block of the `(blocks, 2, cols)`
-    view around its axis when no block has remainder columns; CX is a
-    permutation when the staged product has none; everything else is staged
-    (N mod 4 > 0 leaves at most one other qubit, in the contraction's order).
-    """
-    order = tuple(range(src.shape[0].bit_length()))
-    step, into_out, after = _bind(src, out, order, tuple(targets), matrix is FIXED_MATRICES["CX"])
-    step(matrix)
-    if not into_out:
-        _restore(src, out, after)
-
-
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     """Apply a gate to the named qubits, returning a new StateVector.
 
@@ -299,7 +280,11 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     targets = _check_targets(targets, gate.arity, state.n_qubits)
     src = state.amplitudes.reshape(-1, 1).copy()  # the kernel overwrites its source
     out = np.empty_like(src)
-    apply_gate_tensor(src, out, gate.matrix, targets)
+    order = tuple(range(state.n_qubits + 1))
+    step, into_out, after = _bind(src, out, order, targets, gate.matrix is FIXED_MATRICES["CX"])
+    step(gate.matrix)
+    if not into_out:
+        _restore(src, out, after)
     return StateVector(state.n_qubits, out.reshape(-1), _owned=True)
 
 

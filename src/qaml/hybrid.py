@@ -15,12 +15,14 @@ looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
 `_Objective` holds that batch, the Z signs and the labels; `loss_value`,
 `gradient` and `train` take the loss from it, and `_Objective.gradient` is
-the one gradient step, where the method is picked. `train` runs the unshifted
-ansatz pass once per iteration, for the loss and the gradient's loss factors.
-Passes run in three buffers the objective owns, with steps bound once. Parameter
-shift keeps its running prefix in one, so each shifted pass reruns only the ops
-from its parameter onward; its readouts run in template order (+ then - per op),
-and a shot readout draws in row blocks, the same stream as drawing sample by sample.
+the one gradient step, where the method is picked. Every readout takes |a|^2
+from `state.probabilities`, one row per sample of the transposed buffer.
+`train` runs the unshifted ansatz pass once per iteration, for the loss and
+the gradient's loss factors. Passes run in three buffers the objective owns,
+with steps bound once. Parameter shift keeps its running prefix in one, so
+each shifted pass reruns only the ops from its parameter onward; its readouts
+run in template order (+ then - per op), and a shot readout draws in row
+blocks, the same stream as drawing sample by sample.
 """
 
 from __future__ import annotations
@@ -170,15 +172,6 @@ def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> n
     return _run(np.array(tensor, order="C"), template.ops, angles)
 
 
-def _probs(buffer: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of a finished batch-last buffer, one C-contiguous
-    row per sample: the row layout fixes the summation order of `_readout`."""
-    amps = buffer.T
-    probs = np.square(amps.real, order="C")
-    probs += np.square(amps.imag)
-    return probs
-
-
 def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
     """Z expectation per row: exact when `shots` is 0, else a shot estimate.
 
@@ -234,7 +227,8 @@ class _Objective:
     def probs(self, angles: list) -> np.ndarray:
         """Outcome probabilities after the ansatz, one row per sample."""
         np.copyto(self._buffers[0], self.tensor)
-        return _probs(self._buffers[self._pass(0, 1, self.template.ops, angles)])
+        # one C-contiguous row per sample: the row layout fixes `_readout`'s summation order
+        return probabilities(self._buffers[self._pass(0, 1, self.template.ops, angles)].T)
 
     def loss(self, probs: np.ndarray) -> tuple[float, np.ndarray]:
         """The loss read out from `probs`, and its derivative with respect to
@@ -265,7 +259,7 @@ class _Objective:
             for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
                 shifted = [angles[k] + delta, *angles[k + 1 :]]
                 np.copyto(buffers[work], buffers[prefix])
-                probs = _probs(buffers[self._pass(work, scratch, ops[k:], shifted)])
+                probs = probabilities(buffers[self._pass(work, scratch, ops[k:], shifted)].T)
                 d_exps[op.param] += sign * _readout(probs, self.signs, self.shots, self.rng)
         return d_exps @ factors
 
@@ -393,24 +387,22 @@ class TrainReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _encode_sample(
-    features, encoding: EncodingSpec, use_hadamard: bool
-) -> tuple[StateVector, int]:
-    """Encoded input state for one sample and the op count it took."""
+def _encode_sample(features, encoding: EncodingSpec, use_hadamard: bool) -> StateVector:
+    """Encoded input state for one sample."""
     if encoding.method == "angle":
         circ = encode_angle(features, encoding.axis)
         if use_hadamard:
             circ = Circuit(circ.n_qubits, hadamard_layer(circ.n_qubits).ops + circ.ops)
-        return execute(circ), len(circ.ops)
+        return execute(circ)
     if encoding.method == "amplitude":
-        return encode_amplitude(features), 0
+        return encode_amplitude(features)
     # basis and superposition both read a single 0/1 feature row as one label
     bits = []
     for v in features:
         if isinstance(v, (bool, np.bool_)) or v not in (0.0, 1.0):
             raise InvalidBitstring(f"{encoding.method} encoding requires 0/1 features, got {v}")
         bits.append("1" if v else "0")
-    return make_basis_state(len(bits), "".join(bits)), 0
+    return make_basis_state(len(bits), "".join(bits))
 
 
 def train(
@@ -437,12 +429,13 @@ def train(
             raise InvalidLabel(f"label must be -1 or +1, got {label}")
         labels.append(float(label))
         try:
-            state, encode_depth = _encode_sample(features, encoding, config.hadamard_layer)
+            states.append(_encode_sample(features, encoding, config.hadamard_layer))
         except (EncodingError, SimulationError) as exc:
             raise DatasetError(f"sample {index}: {exc}") from exc
-        states.append(state)
 
     rng = _rng(config.seed) if config.shots > 0 else None
+    # angle encoding adds one rotation per qubit, after as many H with the Hadamard layer
+    encode_depth = template.n_qubits * (1 + config.hadamard_layer) if encoding.method == "angle" else 0
     objective = _Objective(template, LossSpec(tuple(states), tuple(labels)), config.shots, rng)
 
     params = np.zeros(template.n_params) if initial_params is None else initial_params

@@ -140,16 +140,16 @@ def make_basis_state(
 
 
 def norm_squared(state) -> float:
-    """Sum of squared amplitude magnitudes.
+    """Sum of squared amplitude magnitudes (`probabilities`) of a StateVector or of any
+    raw complex sequence, so it can check unnormalized data as well."""
+    return float(np.sum(probabilities(state)))
 
-    Accepts a StateVector or any raw complex sequence, so it can be used to
-    check unnormalized data as well.
-    """
+
+def probabilities(state) -> np.ndarray:
+    """Born-rule probability |a|^2 of each amplitude, index-aligned with them: the
+    package's one |a|^2. Accepts a StateVector or a raw complex array of any shape,
+    such as a transposed batch-last buffer, and returns a C-contiguous array."""
     amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, dtype=np.complex128)
-    return float(np.sum(amps.real**2 + amps.imag**2))
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """Born-rule probability of each basis outcome, index-aligned with amplitudes."""
-    amps = state.amplitudes
-    return amps.real**2 + amps.imag**2
+    probs = np.square(amps.real, order="C")
+    probs += np.square(amps.imag)
+    return probs

@@ -239,6 +239,46 @@ class TestApplyGate:
             apply_gate(make_basis_state(2, "00"), gate_h(), [0.5, 7])
 
 
+def signed_zero_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
+    """A random state whose amplitudes include -0.0 parts and whole -0.0 amplitudes."""
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    amps.real[::3] = -0.0
+    amps.imag[1::4] = -0.0
+    amps[2::7] = complex(-0.0, -0.0)
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+class TestApplyGateKernelPaths:
+    """`apply_gate` drives the one kernel: it picks CX's slice copies by the shared
+    matrix's identity, and a staged product comes back in qubit order."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_user_built_cx_is_staged_with_the_shared_cx_bits(self, n, rng, kernel_paths):
+        user_cx = GateMatrix("CX", 2, gate_cx().matrix.copy())
+        # below 4 qubits the copies would leave BLAS remainder columns, so CX stages too
+        shared_path = "cx" if (1 << n >> 2) % 4 == 0 else "staged"
+        for _ in range(20):
+            state = signed_zero_state(n, rng)
+            targets = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+            kernel_paths.clear()
+            shared = apply_gate(state, gate_cx(), targets)
+            user = apply_gate(state, user_cx, targets)
+            assert kernel_paths == [(shared_path, True), ("staged", True)]
+            np.testing.assert_array_equal(
+                shared.amplitudes.view(np.uint64), user.amplitudes.view(np.uint64)
+            )
+
+    # the last two qubits leave fewer than 4 columns per block, so they stage
+    @pytest.mark.parametrize("n, target", [(n, q) for n in range(1, 9) for q in range(max(n - 2, 0), n)])
+    def test_staged_one_qubit_gate_comes_back_in_qubit_order(self, n, target, rng, kernel_paths):
+        state = random_state(n, rng)
+        gate = gate_ry(0.7)
+        out = apply_gate(state, gate, [target])
+        assert kernel_paths == [("staged", True)]
+        expected = dense_unitary(gate, [target], n) @ state.amplitudes
+        assert np.abs(out.amplitudes - expected).max() < 1e-12
+
+
 class TestDenseUnitaryOracle:
     def test_single_qubit_full_register(self):
         assert np.allclose(dense_unitary(gate_h(), [0], 1), gate_h().matrix, atol=0)

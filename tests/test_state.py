@@ -75,6 +75,59 @@ class TestProbabilities:
         assert np.sum(raw**2) == pytest.approx(10.19)
 
 
+def awkward_amplitudes(shape, rng) -> np.ndarray:
+    """Random complex amplitudes with -0.0 parts and subnormal parts mixed in."""
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps.real.flat[::3] = -0.0
+    amps.imag.flat[1::4] = -0.0
+    amps.real.flat[2::5] = -3e-310
+    amps.imag.flat[::7] = 5e-324
+    return amps
+
+
+def square_rule(amps) -> np.ndarray:
+    """The reference |a|^2, written out independently of `probabilities`."""
+    return np.ascontiguousarray(amps.real**2 + amps.imag**2)
+
+
+class TestOneSquareRule:
+    """`probabilities` is the package's one |a|^2: a StateVector, its raw amplitudes and
+    a transposed batch-last buffer all get the bits of re**2 + im**2, C-contiguous."""
+
+    @staticmethod
+    def assert_bits(probs, expected):
+        assert probs.flags.c_contiguous and probs.shape == expected.shape
+        np.testing.assert_array_equal(probs.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_state_and_raw_amplitudes(self, n):
+        rng = np.random.default_rng(n)
+        amps = awkward_amplitudes(1 << n, rng)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        expected = square_rule(state.amplitudes)
+        self.assert_bits(probabilities(state), expected)
+        self.assert_bits(probabilities(state.amplitudes), expected)
+        self.assert_bits(probabilities(amps), square_rule(amps))
+        assert np.signbit(amps.real).any() and (np.abs(amps.real) < 2.2e-308).any()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("batch", range(1, 8))
+    def test_transposed_batch_buffer(self, n, batch):
+        rng = np.random.default_rng(100 * n + batch)
+        buffer = np.ascontiguousarray(awkward_amplitudes((1 << n, batch), rng))
+        self.assert_bits(probabilities(buffer.T), square_rule(buffer.T))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_norm_squared_sums_the_same_squares(self, n):
+        rng = np.random.default_rng(n)
+        amps = awkward_amplitudes(1 << n, rng)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        for raw in (amps, state.amplitudes):
+            expected = float(np.sum(raw.real**2 + raw.imag**2))
+            assert np.float64(norm_squared(raw)).view(np.uint64) == np.float64(expected).view(np.uint64)
+        assert norm_squared(state) == norm_squared(state.amplitudes)
+
+
 class TestInvariants:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
