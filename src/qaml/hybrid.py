@@ -13,10 +13,10 @@ register fit with `circuit._check_ops`, as `Circuit` does, so the op loop only
 looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 `circuit.execute`, and the ansatz pass runs the encoded samples, the columns
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
-`_Objective` holds that batch, the Z signs and the labels; `loss_value`,
-`gradient` and `train` take the loss from it, and `_Objective.gradient` is
-the one gradient step, where the method is picked. Every readout takes |a|^2
-from `state.probabilities`, one row per sample of the transposed buffer.
+`_Objective` holds that batch, the Z signs, the labels and the `TrainConfig`
+that sets its gradient method, `fd_step`, shots and seed. `loss_value`,
+`gradient` and `train` take the loss from it; `_Objective.gradient` is the one
+gradient step. Every readout takes |a|^2 from `state.probabilities`, by row.
 `train` runs the unshifted ansatz pass once per iteration, for the loss and
 the gradient's loss factors. Passes run in three buffers the objective owns,
 with steps bound once. Parameter shift keeps its running prefix in one, so
@@ -202,9 +202,9 @@ class _Objective:
     `(2**n, batch)` buffer, next to the readout's Z signs and the labels.
     Every ansatz pass runs in three owned buffers of that shape, with its bound steps kept per
     ordered (src, scratch) pair, so later iterations allocate no such buffer and bind no step.
-    With `shots` > 0 every readout takes fresh draws from `rng`."""
+    Its settings come from one `TrainConfig`; with `shots` > 0 readouts draw from `_rng(seed)`."""
 
-    def __init__(self, template: AnsatzTemplate, loss_spec: LossSpec, shots: int = 0, rng=None):
+    def __init__(self, template: AnsatzTemplate, loss_spec: LossSpec, config: TrainConfig | None = None):
         for index, state in enumerate(loss_spec.inputs):
             if state.n_qubits != template.n_qubits:
                 raise QubitMismatch(
@@ -216,7 +216,8 @@ class _Objective:
         self._buffers, self._plans = [np.empty_like(self.tensor, order="C") for _ in range(3)], {}
         self.signs = _z_signs(template.n_qubits, loss_spec.qubit)
         self.labels = None if loss_spec.labels is None else np.asarray(loss_spec.labels)
-        self.shots, self.rng = shots, rng
+        self.config = config = TrainConfig() if config is None else config
+        self.rng = _rng(config.seed) if config.shots > 0 else None
 
     def _pass(self, src: int, scratch: int, ops, angles) -> int:
         """Run `ops` in owned buffers `src` and `scratch`; the one holding the result."""
@@ -233,7 +234,7 @@ class _Objective:
     def loss(self, probs: np.ndarray) -> tuple[float, np.ndarray]:
         """The loss read out from `probs`, and its derivative with respect to
         each sample's expectation."""
-        exps = _readout(probs, self.signs, self.shots, self.rng)
+        exps = _readout(probs, self.signs, self.config.shots, self.rng)
         m = exps.size
         if self.labels is None:
             return float(exps.mean()), np.full(m, 1.0 / m)
@@ -260,7 +261,7 @@ class _Objective:
                 shifted = [angles[k] + delta, *angles[k + 1 :]]
                 np.copyto(buffers[work], buffers[prefix])
                 probs = probabilities(buffers[self._pass(work, scratch, ops[k:], shifted)].T)
-                d_exps[op.param] += sign * _readout(probs, self.signs, self.shots, self.rng)
+                d_exps[op.param] += sign * _readout(probs, self.signs, self.config.shots, self.rng)
         return d_exps @ factors
 
     def fd_gradient(self, params: np.ndarray, step: float) -> np.ndarray:
@@ -274,11 +275,11 @@ class _Objective:
             grad[j] = (self._value(hi) - self._value(lo)) / (2.0 * step)
         return grad
 
-    def gradient(self, params: np.ndarray, config: TrainConfig, probs=None) -> np.ndarray:
-        """The gradient by `config`'s method, the one place that picks it. Parameter
+    def gradient(self, params: np.ndarray, probs=None) -> np.ndarray:
+        """The gradient by the config's method, the one place that picks it. Parameter
         shift reads its loss factors from `probs`, the unshifted pass, run here if not given."""
-        if config.gradient_method == "finite_difference":
-            return self.fd_gradient(params, config.fd_step)
+        if self.config.gradient_method == "finite_difference":
+            return self.fd_gradient(params, self.config.fd_step)
         angles = _bound_angles(self.template, params)
         if probs is None:
             probs = self.probs(angles)
@@ -309,7 +310,7 @@ def gradient(
     """
     params = _check_params(template, params)
     config = TrainConfig(gradient_method=method, fd_step=fd_step)
-    return _Objective(template, loss).gradient(params, config)
+    return _Objective(template, loss, config).gradient(params)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +434,9 @@ def train(
         except (EncodingError, SimulationError) as exc:
             raise DatasetError(f"sample {index}: {exc}") from exc
 
-    rng = _rng(config.seed) if config.shots > 0 else None
     # angle encoding adds one rotation per qubit, after as many H with the Hadamard layer
     encode_depth = template.n_qubits * (1 + config.hadamard_layer) if encoding.method == "angle" else 0
-    objective = _Objective(template, LossSpec(tuple(states), tuple(labels)), config.shots, rng)
+    objective = _Objective(template, LossSpec(tuple(states), tuple(labels)), config)
 
     params = np.zeros(template.n_params) if initial_params is None else initial_params
     params = _check_params(template, params)
@@ -450,7 +450,7 @@ def train(
         trace.append(value)
         if converged:
             break
-        grad = objective.gradient(params, config, probs)
+        grad = objective.gradient(params, probs)
         with np.errstate(over="ignore"):  # an infinite angle fails in the op loop
             params = params - config.learning_rate * grad
 

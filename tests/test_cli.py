@@ -124,6 +124,37 @@ class TestState:
         assert main(encode) == 0
         assert from_stdin == capsys.readouterr().out
 
+    def test_bell_state(self, tmp_path, capsys):
+        path = write(tmp_path / "bell.q", BELL)
+        assert main(["state", path]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["basis"] for e in entries] == ["00", "11"]
+
+    def test_repeated_statements_in_any_spelling(self, tmp_path, capsys):
+        # 2,004 statements with CX in both orientations, under one spelling per
+        # statement and under a different spelling per repeat, print the same state
+        spellings = [
+            ("h 0", "H 0", "h  0 # again"),
+            ("cx 0 1", "CX 0 1", "cX 0 1"),
+            ("rx 1 pi/2", "RX 1 1.5707963267948966", "rX 1 PI/2"),
+            ("cx 1 0", "Cx 1 0", "CX 1 0 # flipped"),
+            ("rz 2 -pi/4", "RZ 2 -0.7853981633974483", "rz 2 -1pi/4"),
+            ("cx 2 0", "CX 2 0", "cx  2  0"),
+        ]
+        programs = {
+            "same": [s[0] for r in range(334) for s in spellings],
+            "mixed": [s[r % 3] for r in range(334) for s in spellings],
+        }
+        outputs = []
+        for name, body in programs.items():
+            path = write(tmp_path / f"{name}.q", "\n".join(["qubits 3", *body, "measure all\n"]))
+            assert main(["state", path]) == 0
+            outputs.append(capsys.readouterr())
+        same, mixed = outputs
+        assert same.err == mixed.err == ""
+        assert same.out == mixed.out
+        assert len(json.loads(same.out)) == 4
+
     def test_threshold_filters(self, tmp_path, capsys):
         path = write(tmp_path / "ry.q", "qubits 1\nry 0 0.2\n")
         assert main(["state", path, "--threshold", "0.5"]) == 0
@@ -191,6 +222,29 @@ class TestTrain:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["loss_trace"][-1] < 0.05
         assert "final loss" in capsys.readouterr().err
+
+    FOUR_ROWS = "0.1,0.2,1\n0.9,0.3,-1\n0.4,0.8,1\n1.2,0.5,-1\n"
+
+    def two_iterations(self, tmp_path, name, **overrides):
+        """The report bytes of a 2-iteration run on four rows."""
+        payload = {"max_iterations": 2, "convergence_tol": 0, **overrides}
+        config = write(tmp_path / f"{name}.json", json.dumps(payload))
+        data = write(tmp_path / "data.csv", self.FOUR_ROWS)
+        out = tmp_path / f"{name}-report.json"
+        assert main(["train", "--config", config, "--data", data, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("method", ["parameter_shift", "finite_difference"])
+    def test_two_iterations_give_a_two_entry_trace(self, tmp_path, method):
+        report = json.loads(self.two_iterations(tmp_path, "exact", gradient_method=method))
+        assert len(report["loss_trace"]) == 2
+
+    def test_shot_training_is_byte_identical_across_runs(self, tmp_path):
+        first, again = (self.two_iterations(tmp_path, name, shots=64, seed=3) for name in "ab")
+        assert first == again
+        report = json.loads(first)
+        assert len(report["loss_trace"]) == 2
+        assert sum(report["final_histogram"]["counts"].values()) == 64
 
     def test_zero_iterations(self, tmp_path, capsys):
         config = self.config(tmp_path, max_iterations=0)

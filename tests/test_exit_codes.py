@@ -333,7 +333,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "config",
-        ['{"shots": 4000000000}', '{"shots": 3, "gradient_method": "finite_difference"}'],
+        [
+            '{"shots": 4000000000}',
+            '{"shots": 3, "gradient_method": "finite_difference"}',
+            '{"hadamard_layer": "false"}',
+            '{"fd_step": 1e-4}',
+        ],
     )
     def test_rejected_training_configs_exit_4(self, files, tmp_path, config):
         files["config"] = write(tmp_path / "shots.json", config)
