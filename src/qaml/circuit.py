@@ -73,6 +73,8 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
+        if not isinstance(self.measure_all, bool):
+            raise InvariantError(f"measure_all must be true or false, got {self.measure_all!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in _check_ops(self.ops, self.n_qubits):
             if op.param is not None:
@@ -96,12 +98,12 @@ class Histogram:
 
 
 def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
-    """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed)
-    and `scratch` (fresh if None), following the axis order staged gates leave; the result,
-    in qubit order, is one of the two. `plans` (fresh if None; it may outlive the call while
-    both buffers live) holds one bound step per (targets, CX, buffer, axis order) of this
-    (src, scratch) pair. One matrix per op object whose angle is its own (by identity, so a
-    bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call."""
+    """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed) and
+    `scratch` (fresh if None), following the axis order staged gates leave; the result,
+    relabeled to qubit order, is one of the two. `plans` (fresh if None; it may outlive the
+    call while both buffers live) holds one bound step per (targets, CX, buffer, axis order)
+    of this (src, scratch) pair. One matrix per op object whose angle is its own (by identity,
+    so a bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call."""
     scratch = np.empty_like(src) if scratch is None else scratch
     buffers, current, order = (src, scratch), 0, tuple(range(src.shape[0].bit_length()))
     plans, matrices = {} if plans is None else plans, {}
@@ -122,7 +124,7 @@ def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
         step, current, order = plan
         step(matrix)
     if order != tuple(sorted(order)):
-        gates._restore(buffers[current], buffers[1 - current], order)
+        np.copyto(*gates._relabel(buffers[current], buffers[1 - current], order, sorted(order)))
         current ^= 1
     return buffers[current]
 

@@ -4,16 +4,15 @@ The one gate kernel is `_bind(src, out, order, targets, is_cx)`: it builds its
 views of two batch-last `(2^n, batch)` buffers, axes in `order`, once, on the
 path `_layout` caches, and returns `step(matrix)`, which applies a 2x2 or 4x4
 unitary in O(2^n * batch) time with only its numpy calls. A staged step leaves
-its product in `src`, target axes first; the caller tracks that axis order
-until `_restore` puts the qubits back. `apply_gate` binds, steps and restores
-once; the one op loop, `circuit._run` (behind `execute` and `hybrid`'s batched
-ansatz pass), reuses a step per targets, buffer and axis order. The results
-are bit-identical to the batch-first contraction kernel it replaced, which
-`tests/test_kernel_oracle.py` keeps as its oracle (see `_bind`). There is no
-elementwise pair-update or phase-multiply path, because numpy's complex
-arithmetic does not fuse multiply-adds as OpenBLAS zgemm does, which would
-move the last bits. The full 2^n x 2^n operator is only ever materialized by
-the small-instance test oracle `dense_unitary`.
+its product in `src`, target axes first, and the caller tracks that axis order
+until it moves the qubits back; `_relabel` makes both copies. `apply_gate`
+binds, steps and restores once; the one op loop, `circuit._run`, behind
+`execute` and the batched ansatz pass, reuses a step per targets, buffer and
+axis order. The results are bit-identical to the contraction kernel it
+replaced, the oracle of `tests/test_kernel_oracle.py` (see `_bind`). There is
+no elementwise pair-update or phase-multiply path: numpy's complex arithmetic
+does not fuse multiply-adds as OpenBLAS zgemm does, so it would move the last
+bits. Only the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
 """
 
 from __future__ import annotations
@@ -57,6 +56,8 @@ class GateMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
+        if _integer(self.arity, "arity", InvariantError) < 1:
+            raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")
         dim = 2**self.arity
         if mat.shape != (dim, dim):
             raise InvariantError(f"gate {self.name}: expected {dim}x{dim} matrix, got {mat.shape}")
@@ -200,8 +201,8 @@ MATMUL_MAX_BLOCKS = 32
 def _layout(dim: int, batch: int, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool) -> tuple:
     """How the kernel runs a gate on `targets` of a `(dim, batch)` buffer whose axes
     (qubits, then the batch as axis n) lie in `order`, worked out once per key: `(path,
-    shape, layout, order after)` for `"matmul"`, `"cx"` (with (source, destination)
-    slice pairs) or `"staged"` (target axes first, the batch, then the other qubits)."""
+    shape, slices, order after)` for `"matmul"`, `"cx"` (with (source, destination) slice
+    pairs) or `"staged"` (zgemm rows; target axes first, the batch, then the rest)."""
     sizes = tuple(batch if axis == len(order) - 1 else 2 for axis in order)
     where = tuple(order.index(target) for target in targets)
     if len(targets) == 1:
@@ -219,10 +220,15 @@ def _layout(dim: int, batch: int, order: tuple[int, ...], targets: tuple[int, ..
             return tuple(index)
 
         return "cx", shape, ((at(0), at(0)), (at(1, 1), at(1, 0)), (at(1, 0), at(1, 1))), order
-    front = (*where, order.index(len(order) - 1))
-    perm = (*front, *(k for k in range(len(order)) if k not in front))
-    staged_shape = tuple(sizes[k] for k in perm)
-    return "staged", sizes, (perm, staged_shape, (1 << len(targets), -1)), tuple(order[k] for k in perm)
+    front = (*targets, len(order) - 1)
+    return "staged", (1 << len(targets), -1), None, (*front, *(axis for axis in order if axis not in front))
+
+
+def _relabel(src: np.ndarray, out: np.ndarray, order, new_order) -> tuple:
+    """The views `(into, source)` whose copy moves `src`, axes in `order`, into `out`, axes in `new_order`."""
+    source = src.reshape([src.shape[1] if axis == len(order) - 1 else 2 for axis in order])
+    source = source.transpose([order.index(axis) for axis in new_order])
+    return out.reshape(source.shape), source
 
 
 def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool):
@@ -239,13 +245,13 @@ def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tup
     (the last N mod 4), whatever the axis order. A one-qubit gate is one zgemm per
     block of the `(blocks, 2, cols)` view around its axis when no block has remainder
     columns; CX is a permutation when the staged product has none; everything else is
-    staged (N mod 4 > 0 leaves at most one other qubit, in the contraction's order)."""
-    path, shape, layout, after = _layout(*src.shape, order, targets, is_cx)
+    relabeled into the contraction's order (N mod 4 > 0 leaves at most one other qubit)."""
+    path, shape, slices, after = _layout(*src.shape, order, targets, is_cx)
     if path == "matmul":
         src, out = src.reshape(shape), out.reshape(shape)
         return (lambda matrix: np.matmul(matrix, src, out=out)), True, after
     if path == "cx":
-        pairs = [(src.reshape(shape)[s], out.reshape(shape)[d]) for s, d in layout]
+        pairs = [(src.reshape(shape)[s], out.reshape(shape)[d]) for s, d in slices]
 
         def step(matrix):
             # adding zero turns -0.0 into +0.0, as the permutation matrix's zgemm does
@@ -253,22 +259,14 @@ def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tup
                 np.add(source, _ZERO, out=destination)
 
         return step, True, after
-    # stage in `out`, multiply into `src`: the product stays in the staged order
-    perm, staged_shape, rows = layout
-    staged, stage_from = out.reshape(staged_shape), src.reshape(shape).transpose(perm)
-    operand, product = out.reshape(rows), src.reshape(rows)
+    staged, stage_from = _relabel(src, out, order, after)
+    operand, product = out.reshape(shape), src.reshape(shape)
 
     def step(matrix):
         staged[...] = stage_from
         np.dot(matrix, operand, out=product)
 
     return step, False, after
-
-
-def _restore(src: np.ndarray, out: np.ndarray, order: tuple[int, ...]) -> None:
-    """Copy `src`, whose axes lie in `order`, into `out` in qubit order."""
-    tensor = src.reshape([src.shape[1] if axis == len(order) - 1 else 2 for axis in order])
-    out.reshape((2,) * (len(order) - 1) + (-1,))[...] = tensor.transpose(np.argsort(order))
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
@@ -284,7 +282,7 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     step, into_out, after = _bind(src, out, order, targets, gate.matrix is FIXED_MATRICES["CX"])
     step(gate.matrix)
     if not into_out:
-        _restore(src, out, after)
+        np.copyto(*_relabel(src, out, after, order))
     return StateVector(state.n_qubits, out.reshape(-1), _owned=True)
 
 

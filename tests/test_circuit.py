@@ -26,6 +26,7 @@ from qaml.errors import (
     ArityMismatch,
     ConfigError,
     DuplicateTarget,
+    InvariantError,
     NonFiniteAngle,
     SimulationError,
     TargetOutOfRange,
@@ -134,6 +135,14 @@ class TestCircuitConstruction:
         with pytest.raises(TargetOutOfRange) as info:
             AnsatzTemplate(2, slotted, 1)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("measure_all", ["no", 1, 0, None, np.bool_(True)])
+    def test_measure_all_must_be_a_bool(self, measure_all):
+        # a truthy string used to print as `measure all` in `to_dsl`
+        with pytest.raises(InvariantError) as info:
+            Circuit(1, (), measure_all=measure_all)
+        assert str(info.value) == f"measure_all must be true or false, got {measure_all!r}"
+        assert Circuit(1, (), measure_all=True).measure_all is True
 
     def test_numpy_integer_targets_accepted(self):
         op = CircuitOp("CX", (np.int64(1), np.uint8(0)))

@@ -246,6 +246,36 @@ class TestTrain:
         assert len(report["loss_trace"]) == 2
         assert sum(report["final_histogram"]["counts"].values()) == 64
 
+    # five features pad to eight amplitudes, so the template has 3 qubits
+    AMPLITUDE_ROWS = "0.3,-1.2,0.5,2.0,0.1,1\n1.0,0.0,-0.4,0.7,0.9,-1\n0.5,0.1,0.1,0.3,0.2,-1\n"
+
+    def amplitude_report(self, tmp_path, name, rows):
+        """The exit code and report path of a 2-iteration, 64-shot amplitude-encoded run."""
+        payload = {"max_iterations": 2, "convergence_tol": 0, "shots": 64, "seed": 3}
+        config = write(tmp_path / "config.json", json.dumps(payload))
+        data = write(tmp_path / f"{name}.csv", rows)
+        out = tmp_path / f"{name}-report.json"
+        argv = ["train", "--config", config, "--data", data, "--out", str(out), "--encoding", "amplitude"]
+        return main(argv), out
+
+    def test_amplitude_shot_training_is_byte_identical_across_runs(self, tmp_path):
+        runs = [self.amplitude_report(tmp_path, name, self.AMPLITUDE_ROWS) for name in "ab"]
+        assert [code for code, _ in runs] == [0, 0]
+        first, again = (out.read_bytes() for _, out in runs)
+        assert first == again
+        report = json.loads(first)
+        assert len(report["loss_trace"]) == 2 and report["circuit_depth"] == 8
+        assert sum(report["final_histogram"]["counts"].values()) == 64
+
+    def test_amplitude_row_of_another_width_exits_5(self, tmp_path, capsys):
+        rows = "0.3,-1.2,0.5,2.0,0.1,1\n1.0,0.0,-0.4,0.7,0.9,-1\n0.2,0.2,-3.0,1\n"
+        code, out = self.amplitude_report(tmp_path, "ragged", rows)
+        assert code == 5 and not out.exists()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "dataset error: sample 2: encoding produced 2 qubits, template has 3\n"
+        )
+
     def test_zero_iterations(self, tmp_path, capsys):
         config = self.config(tmp_path, max_iterations=0)
         data = write(tmp_path / "data.csv", "0.0,1\n")

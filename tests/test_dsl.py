@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qaml.dsl
 from qaml import Circuit, CircuitOp, execute
+from qaml.cli import main
 from qaml.dsl import SourceProgram, parse, to_dsl
 from qaml.errors import NonFiniteAngle, ParseError, TargetOutOfRange
 
@@ -186,6 +188,20 @@ class TestParseExamples:
             parse(f"qubits 2\nh 1\nrx 0 {angle}\n")
         assert (info.value.line, info.value.column) == (3, 6)
         assert info.value.offending_token == angle
+
+    def test_line_ceiling(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(qaml.dsl, "MAX_LINES", 3)
+        assert len(parse("qubits 1\nh 0\nh 0\n").ops) == 2
+        program = "qubits 1\nh 0\nh 0\nh 0\n"
+        with pytest.raises(ParseError) as info:
+            parse(program)
+        assert (info.value.line, info.value.column) == (4, 1)
+        assert info.value.message == "program exceeds 3 lines"
+        path = tmp_path / "long.q"
+        path.write_text(program)
+        assert main(["state", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{path}:line 4, column 1: program exceeds 3 lines\n")
 
     def test_source_program_origin(self):
         circ = parse(SourceProgram("qubits 1\nx 0", "prog.q"))

@@ -48,7 +48,7 @@ from qaml import cli, errors
 from qaml.cli import main
 from qaml.dsl import parse
 from qaml.encoding import read_feature_rows
-from qaml.gates import gate_from_name
+from qaml.gates import GateMatrix, gate_from_name
 
 GROUPS = (
     errors.ParseError,
@@ -167,6 +167,10 @@ class TestBadValues:
             (lambda: TrainConfig(learning_rate=10**400), errors.ConfigError),
             (lambda: TrainConfig(convergence_tol="0"), errors.ConfigError),
             (lambda: CircuitOp("RX", (0,), "0.5"), errors.NonFiniteAngle),
+            # a gate's arity and a circuit's measure flag
+            (lambda: GateMatrix("H", 1.0, np.eye(2)), errors.InvariantError),
+            (lambda: GateMatrix("H", True, np.eye(2)), errors.InvariantError),
+            (lambda: Circuit(1, (), measure_all="no"), errors.InvariantError),
             # a bitstring must be a string
             (lambda: make_basis_state(2, 5), errors.InvalidBitstring),
             (lambda: encode_basis(b"01"), errors.InvalidBitstring),

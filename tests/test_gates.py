@@ -16,6 +16,7 @@ from qaml import (
     gate_x,
     gate_y,
     gate_z,
+    gates,
     make_basis_state,
     norm_squared,
 )
@@ -158,6 +159,19 @@ class TestGateMatrixChecks:
         with pytest.raises(InvariantError, match="gate bad is not unitary"):
             GateMatrix("bad", 1, [[1, 0], [0, 1 + 5e-10]])
 
+    @pytest.mark.parametrize("arity", [True, 1.0, "1", None])
+    def test_arity_must_be_an_integer(self, arity):
+        with pytest.raises(InvariantError, match=f"^arity must be an integer, got {arity!r}$"):
+            GateMatrix("H", arity, np.eye(2))
+
+    @pytest.mark.parametrize("arity", [0, -1])
+    def test_arity_must_be_positive(self, arity):
+        with pytest.raises(InvariantError, match=f"^gate H: arity must be >= 1, got {arity}$"):
+            GateMatrix("H", arity, np.eye(1))
+
+    def test_numpy_integer_arity(self):
+        assert GateMatrix("H", np.int64(1), np.eye(2)).matrix.shape == (2, 2)
+
     def test_unknown_rotation_axis(self):
         with pytest.raises(UnknownGate, match="unknown rotation 'RW'"):
             rotation_matrix("RW", 0.1)
@@ -277,6 +291,64 @@ class TestApplyGateKernelPaths:
         assert kernel_paths == [("staged", True)]
         expected = dense_unitary(gate, [target], n) @ state.amplitudes
         assert np.abs(out.amplitudes - expected).max() < 1e-12
+
+
+def signed_zero_batch(n_qubits: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """A random batch-last `(2**n, batch)` buffer with about 20 % `-0.0` real and imaginary parts."""
+    shape = (1 << n_qubits, batch)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps.real[rng.random(shape) < 0.2] = -0.0
+    amps.imag[rng.random(shape) < 0.2] = -0.0
+    return amps
+
+
+def run_step(src: np.ndarray, order: tuple, targets: tuple, name: str, matrix: np.ndarray) -> np.ndarray:
+    """One bound step on `src` (consumed), its axes in `order`, relabeled back to qubit order."""
+    out = np.empty_like(src)
+    step, into_out, after = gates._bind(src, out, order, targets, name == "CX")
+    step(matrix)
+    product, spare = (out, src) if into_out else (src, out)
+    np.copyto(*gates._relabel(product, spare, after, sorted(after)))
+    return spare
+
+
+class TestRelabel:
+    """`_relabel` is the one copy between axis orders. A step's bits do not depend on
+    the order its buffer starts in, which is what lets a caller relabel freely."""
+
+    BATCHES = (1, 2, 3, 4, 5, 8, 12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_round_trip_keeps_the_bits(self, n):
+        rng = np.random.default_rng(n)
+        qubit_order = tuple(range(n + 1))
+        for batch in self.BATCHES:
+            amps = signed_zero_batch(n, batch, rng)
+            order = tuple(int(axis) for axis in rng.permutation(n + 1))
+            relabeled, back = np.empty_like(amps), np.empty_like(amps)
+            np.copyto(*gates._relabel(amps, relabeled, qubit_order, order))
+            np.copyto(*gates._relabel(relabeled, back, order, qubit_order))
+            np.testing.assert_array_equal(back.view(np.uint64), amps.view(np.uint64))
+            # axis k of the relabeled buffer is axis order[k] of the qubit-order one
+            tensor = amps.reshape((2,) * n + (batch,)).transpose(order)
+            np.testing.assert_array_equal(relabeled.reshape(tensor.shape), tensor)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_step_from_any_axis_order_keeps_the_bits(self, n, batch):
+        rng = np.random.default_rng([n, batch])
+        qubit_order = tuple(range(n + 1))
+        for _ in range(12):
+            amps = signed_zero_batch(n, batch, rng)
+            name = str(rng.choice(["H", "RX", "RY", "CX"]))
+            matrix = gates.op_matrix(name, None if name in ("H", "CX") else float(rng.uniform(-6, 6)))
+            targets = tuple(int(q) for q in rng.choice(n, size=gates.GATE_ARITY[name], replace=False))
+            order = tuple(int(axis) for axis in rng.permutation(n + 1))
+            relabeled = np.empty_like(amps)
+            np.copyto(*gates._relabel(amps, relabeled, qubit_order, order))
+            expected = run_step(amps.copy(), qubit_order, targets, name, matrix)
+            got = run_step(relabeled, order, targets, name, matrix)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestDenseUnitaryOracle:

@@ -22,6 +22,7 @@ from qaml import (
     TrainReport,
     bind,
     diffusion,
+    encode_amplitude,
     encode_angle,
     execute,
     expectation_z,
@@ -834,6 +835,17 @@ class TestTrain:
         )
         # H|0> then RY(0) leaves <Z> = 0, so the loss starts at (0 - (-1))^2
         assert report.loss_trace[0] == pytest.approx(1.0)
+
+    def test_amplitude_encoding(self):
+        # 5 features pad to 8 amplitudes on 3 qubits; the encoder adds no ops
+        rows = [[0.3, -1.2, 0.5, 2.0, 0.1], [1.0, 0.0, -0.4, 0.7, 0.9], [0.2, 0.2, 0.2, 0.2, -3.0]]
+        labels = [1, -1, 1]
+        template = default_ansatz(3)
+        config = TrainConfig(max_iterations=2, convergence_tol=0)
+        report = train(template, list(zip(rows, labels)), EncodingSpec("amplitude"), config)
+        loss = LossSpec(tuple(encode_amplitude(row) for row in rows), tuple(labels))
+        assert report.loss_trace[0] == loss_value(template, np.zeros(6), loss)
+        assert len(report.loss_trace) == 2 and report.circuit_depth == 8
 
     def test_hadamard_layer_rejected_for_amplitude(self):
         with pytest.raises(ConfigError):
