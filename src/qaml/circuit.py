@@ -5,8 +5,8 @@ batch-last `(2^n, batch)` buffer and a scratch buffer, follows the axis order
 a staged gate leaves, binds each kernel step (`gates._bind`) once per plans
 dict, which an owner of both buffers keeps, and builds each op matrix once per
 call. `execute` runs it on a |0...0> column, `hybrid` on encoded batches.
-Ops pass the op and target rules when built and `_check_ops` (register fit)
-in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
+Ops pass the op and target rules when built and `_check_ops` (type, register
+fit) in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
 Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
 which bounds shots by `MAX_SHOTS`), shared with `TrainConfig` and the CLI.
 Measurement uses the Philox counter-based generator (platform-independent)
@@ -54,12 +54,16 @@ class CircuitOp:
         return gates.gate_from_name(self.gate_name, self.angle)
 
 
-def _check_ops(ops, n_qubits: int) -> list[CircuitOp]:
-    """The distinct op objects of `ops`; each distinct targets tuple must fit the register."""
-    distinct = list({id(op): op for op in ops}.values())
+def _check_ops(owner) -> list[CircuitOp]:
+    """Store a `Circuit`'s or `AnsatzTemplate`'s ops (a non-iterable is one op) as a tuple and
+    return its distinct op objects: each a `CircuitOp` whose targets fit the register."""
+    object.__setattr__(owner, "ops", tuple(owner.ops) if np.iterable(owner.ops) else (owner.ops,))
+    distinct = list({id(op): op for op in owner.ops}.values())
+    if misfits := [op for op in distinct if not isinstance(op, CircuitOp)]:
+        raise InvariantError(f"a circuit op must be a CircuitOp, got {misfits[0]!r}")
     for targets in dict.fromkeys(op.targets for op in distinct):
         for target in targets:
-            gates._check_target(target, (), n_qubits)
+            gates._check_target(target, (), owner.n_qubits)
     return distinct
 
 
@@ -75,8 +79,7 @@ class Circuit:
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
         if not isinstance(self.measure_all, bool):
             raise InvariantError(f"measure_all must be true or false, got {self.measure_all!r}")
-        object.__setattr__(self, "ops", tuple(self.ops))
-        for op in _check_ops(self.ops, self.n_qubits):
+        for op in _check_ops(self):
             if op.param is not None:
                 raise NonFiniteAngle(f"{op.gate_name} op has unbound parameter slot p{op.param}")
 
@@ -89,7 +92,9 @@ class Histogram:
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_shots(self.shots)
+        object.__setattr__(self, "shots", _check_shots(self.shots))
+        if set(map(type, self.counts.values())) - {int} or min(self.counts.values(), default=0) < 0:
+            raise InvariantError("histogram counts must be non-negative integers")
         if sum(self.counts.values()) != self.shots:
             raise InvariantError("histogram counts must sum to shots")
 

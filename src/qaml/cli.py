@@ -24,7 +24,7 @@ import numpy as np
 from . import circuit as circuit_mod
 from . import encoding as encoding_mod
 from . import hybrid
-from .dsl import SourceProgram, parse, to_dsl
+from .dsl import parse, to_dsl
 from .errors import ConfigError, DatasetError, EncodingError, ParseError, QamlError, SimulationError
 from .state import StateVector, bitstrings, probabilities
 
@@ -83,7 +83,7 @@ def _parse_file(path: str):
             text, path = sys.stdin.read(), "<stdin>"
     else:
         text = _read_text(path, unreadable)
-    return parse(SourceProgram(text, path))
+    return parse(text, path)
 
 
 def _state_entries(state: StateVector, threshold: float) -> list[dict]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitOp
 from .errors import DuplicateTarget, ParseError, TargetOutOfRange
@@ -33,12 +32,6 @@ MAX_LINES = 1_000_000
 _PI_RE = re.compile(
     r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE | re.ASCII
 )
-
-
-@dataclass(frozen=True)
-class SourceProgram:
-    text: str
-    origin: str = "<stdin>"
 
 
 def _error(line_no: int, line: str, index: int, message: str) -> ParseError:
@@ -76,15 +69,12 @@ def _parse_angle(text: str) -> float:
     return value
 
 
-def parse(program: SourceProgram | str) -> Circuit:
-    """Parse DSL text into a validated Circuit; a `ParseError` names the
-    program's origin."""
-    if isinstance(program, str):
-        program = SourceProgram(program, "<string>")
+def parse(text: str, origin: str = "<string>") -> Circuit:
+    """Parse DSL `text` into a validated Circuit; its `ParseError`s carry `origin`."""
     try:
-        return _parse_lines(program.text.splitlines())
+        return _parse_lines(text.splitlines())
     except ParseError as exc:
-        exc.origin = program.origin
+        exc.origin = origin
         raise
 
 

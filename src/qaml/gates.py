@@ -56,7 +56,8 @@ class GateMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
-        if _integer(self.arity, "arity", InvariantError) < 1:
+        object.__setattr__(self, "arity", _integer(self.arity, "arity", InvariantError))
+        if self.arity < 1:
             raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")
         dim = 2**self.arity
         if mat.shape != (dim, dim):
@@ -286,14 +287,14 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     return StateVector(state.n_qubits, out.reshape(-1), _owned=True)
 
 
-def dense_unitary(gate: GateMatrix, targets, n_qubits: int, max_qubits: int = 8) -> np.ndarray:
+def dense_unitary(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:
     """Explicit 2^n x 2^n expansion of a gate, for small-instance verification.
 
     Built entry by entry from the bit arithmetic of the index convention, so
     it shares no code path with `apply_gate`.
     """
-    if n_qubits > max_qubits:
-        raise OracleSizeExceeded(f"{n_qubits} qubits exceeds the oracle limit of {max_qubits}")
+    if n_qubits > 8:
+        raise OracleSizeExceeded(f"{n_qubits} qubits exceeds the oracle limit of 8")
     targets = _check_targets(targets, gate.arity, n_qubits)
     dim = 1 << n_qubits
     arity = gate.arity

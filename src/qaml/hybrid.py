@@ -8,8 +8,8 @@ it with mean squared error against the label, and updates the ansatz angles
 by gradient descent.
 
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
-(`AnsatzOp` is another name for `CircuitOp`). `AnsatzTemplate` checks their
-register fit with `circuit._check_ops`, as `Circuit` does, so the op loop only
+(`AnsatzOp` is another name for `CircuitOp`). `AnsatzTemplate` checks their type
+and register fit with `circuit._check_ops`, as `Circuit` does, so the op loop only
 looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
 `circuit.execute`, and the ansatz pass runs the encoded samples, the columns
 of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
@@ -83,12 +83,11 @@ class AnsatzTemplate:
     n_params: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits))
         object.__setattr__(self, "n_params", _integer(self.n_params, "n_params", InvariantError))
         if self.n_params < 0:
             raise InvariantError("n_params must be non-negative")
-        used = {op.param for op in _check_ops(self.ops, self.n_qubits)} - {None}
+        used = {op.param for op in _check_ops(self)} - {None}
         slots = set(range(self.n_params))
         if used - slots:
             raise InvariantError(f"parameter slots out of range: {sorted(used - slots)}")

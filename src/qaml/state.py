@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidBitstring, InvariantError, QubitCountExceeded
 
-#: Largest register accepted by default (16M amplitudes, ~256 MB as complex128).
+#: The register ceiling (16M amplitudes, ~256 MB as complex128).
 DEFAULT_MAX_QUBITS = 24
 
 #: Absolute tolerance on |norm^2 - 1| for library-produced states.
@@ -124,12 +124,10 @@ def _check_register(n_qubits, max_qubits: int | None = DEFAULT_MAX_QUBITS) -> in
     return n_qubits
 
 
-def make_basis_state(
-    n_qubits: int, bits: str, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def make_basis_state(n_qubits: int, bits: str) -> StateVector:
     """Prepare the computational basis state |bits> on n_qubits qubits."""
     index = bitstring_to_index(bits)
-    n_qubits = _check_register(n_qubits, max_qubits)
+    n_qubits = _check_register(n_qubits)
     if len(bits) != n_qubits:
         raise InvalidBitstring(
             f"bitstring {bits!r} has length {len(bits)}, expected {n_qubits}"

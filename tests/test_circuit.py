@@ -144,6 +144,15 @@ class TestCircuitConstruction:
         assert str(info.value) == f"measure_all must be true or false, got {measure_all!r}"
         assert Circuit(1, (), measure_all=True).measure_all is True
 
+    @pytest.mark.parametrize("ops, bad", [(("H",), "'H'"), ([None], "None"), (5, "5")])
+    def test_containers_hold_only_circuit_ops(self, ops, bad):
+        # these used to raise a raw AttributeError or TypeError
+        message = f"^a circuit op must be a CircuitOp, got {bad}$"
+        with pytest.raises(InvariantError, match=message):
+            Circuit(1, ops)
+        with pytest.raises(InvariantError, match=message):
+            AnsatzTemplate(1, ops, 0)
+
     def test_numpy_integer_targets_accepted(self):
         op = CircuitOp("CX", (np.int64(1), np.uint8(0)))
         assert op.targets == (1, 0) and all(type(t) is int for t in op.targets)
@@ -417,6 +426,11 @@ class TestHistogram:
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError):
             Histogram(5, {"0": 4})
+
+    def test_numpy_shots_are_stored_as_an_int(self):
+        histogram = Histogram(np.int64(2), {"0": 2})
+        assert type(histogram.shots) is int
+        assert json.loads(histogram.to_json()) == {"counts": {"0": 2}, "shots": 2}
 
     def test_json_keys_sorted(self):
         payload = Histogram(3, {"10": 1, "01": 2}).to_json()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qaml.dsl
 from qaml import Circuit, CircuitOp, execute
 from qaml.cli import main
-from qaml.dsl import SourceProgram, parse, to_dsl
+from qaml.dsl import parse, to_dsl
 from qaml.errors import NonFiniteAngle, ParseError, TargetOutOfRange
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -203,9 +203,13 @@ class TestParseExamples:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"{path}:line 4, column 1: program exceeds 3 lines\n")
 
-    def test_source_program_origin(self):
-        circ = parse(SourceProgram("qubits 1\nx 0", "prog.q"))
-        assert circ.ops[0].gate_name == "X"
+    def test_parse_error_carries_its_origin(self):
+        with pytest.raises(ParseError) as info:
+            parse("qubits 1\nfoo 0", "prog.q")
+        assert (info.value.origin, info.value.line) == ("prog.q", 2)
+        with pytest.raises(ParseError) as info:
+            parse("foo")
+        assert info.value.origin == "<string>"
 
 
 class TestValidCorpus:

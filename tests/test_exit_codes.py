@@ -171,6 +171,16 @@ class TestBadValues:
             (lambda: GateMatrix("H", 1.0, np.eye(2)), errors.InvariantError),
             (lambda: GateMatrix("H", True, np.eye(2)), errors.InvariantError),
             (lambda: Circuit(1, (), measure_all="no"), errors.InvariantError),
+            # histogram counts are non-negative Python ints
+            (lambda: Histogram(2, {"0": 3, "1": -1}), errors.InvariantError),
+            (lambda: Histogram(2, {"0": 1.5, "1": 0.5}), errors.InvariantError),
+            (lambda: Histogram(2, {"0": True, "1": True}), errors.InvariantError),
+            (lambda: Histogram(2, {"0": np.int64(2)}), errors.InvariantError),
+            # a circuit or template holds only CircuitOps
+            (lambda: Circuit(1, ("H",)), errors.InvariantError),
+            (lambda: Circuit(1, [None]), errors.InvariantError),
+            (lambda: Circuit(1, 5), errors.InvariantError),
+            (lambda: AnsatzTemplate(1, [("RY", (0,))], 0), errors.InvariantError),
             # a bitstring must be a string
             (lambda: make_basis_state(2, 5), errors.InvalidBitstring),
             (lambda: encode_basis(b"01"), errors.InvalidBitstring),

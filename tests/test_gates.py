@@ -172,6 +172,9 @@ class TestGateMatrixChecks:
     def test_numpy_integer_arity(self):
         assert GateMatrix("H", np.int64(1), np.eye(2)).matrix.shape == (2, 2)
 
+    def test_arity_is_stored_as_an_int(self):
+        assert type(GateMatrix("H", np.int64(1), np.eye(2)).arity) is int
+
     def test_unknown_rotation_axis(self):
         with pytest.raises(UnknownGate, match="unknown rotation 'RW'"):
             rotation_matrix("RW", 0.1)

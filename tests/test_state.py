@@ -39,10 +39,6 @@ class TestMakeBasisState:
         with pytest.raises(QubitCountExceeded):
             make_basis_state(25, "0" * 25)
 
-    def test_ceiling_is_configurable(self):
-        with pytest.raises(QubitCountExceeded):
-            make_basis_state(5, "00000", max_qubits=4)
-
 
 class TestNormSquared:
     def test_basis_state(self):
