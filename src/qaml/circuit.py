@@ -9,18 +9,18 @@ Ops pass the op and target rules when built and `_check_ops` (type, register
 fit) in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
 Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
 which bounds shots by `MAX_SHOTS`), shared with `TrainConfig` and the CLI.
-Measurement uses the Philox counter-based generator (platform-independent)
-with inverse-CDF sampling over the cumulative probability sequence, so
-identical (inputs, seed) always reproduce identical outcomes. Every sampler
-builds that sequence with `_cdf`; `sample_state` counts its sorted draws per
-outcome instead of mapping each draw to an outcome, which gives the same
-histogram.
+Measurement and training's shot readout use the Philox counter-based generator
+(platform-independent) with inverse-CDF sampling over the cumulative probability
+sequence, so identical (inputs, seed) always reproduce identical outcomes. Every
+sampler builds that sequence with `_cdf` and neither maps a draw to its outcome:
+`sample_state` counts its sorted draws per outcome, and `_readout`, the batched
+Z readout, counts draws past each sign change in blocks of at most `MAX_SHOTS`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +89,12 @@ class Histogram:
     """Shot counts keyed by measured bitstring."""
 
     shots: int
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]
 
     def __post_init__(self):
         object.__setattr__(self, "shots", _check_shots(self.shots))
+        if not isinstance(self.counts, dict) or set(map(type, self.counts)) - {str}:
+            raise InvariantError("histogram counts must be a dict keyed by strings")
         if set(map(type, self.counts.values())) - {int} or min(self.counts.values(), default=0) < 0:
             raise InvariantError("histogram counts must be non-negative integers")
         if sum(self.counts.values()) != self.shots:
@@ -175,6 +177,29 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs, axis=-1)
     cdf /= cdf[..., -1:]
     return cdf
+
+
+def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
+    """Z expectation per row: exact when `shots` is 0, else a shot estimate.
+
+    The shot estimate takes `shots` draws per row from `rng`, in row blocks of
+    at most `MAX_SHOTS` draws that Philox fills row-major, which equals drawing
+    the rows one after another with the inverse-CDF reference sampler
+    `draw_indices` in `tests/conftest.py`. A draw u lands at or past outcome
+    b exactly when u >= cdf[b - 1], so counting draws at or past each sign
+    change of `signs` gives the number of -1 outcomes without mapping any
+    draw to its outcome."""
+    if shots == 0:
+        return probs @ signs
+    cuts = _cdf(probs)[:, np.flatnonzero(signs[1:] != signs[:-1])]
+    step = max(1, MAX_SHOTS // shots)
+    n_minus = []
+    for block in np.split(cuts, range(step, len(cuts), step)):
+        draws = rng.random((len(block), shots))
+        # signs start at +1 and flip at each cut: a -1 outcome is past an odd number of cuts
+        past = [np.count_nonzero(draws >= cut[:, None], axis=1) for cut in block.T]
+        n_minus.append(sum(past[0::2]) - sum(past[1::2]))
+    return (shots - 2.0 * np.concatenate(n_minus)) / shots
 
 
 def measure_once(state: StateVector, seed: int) -> tuple[str, StateVector]:

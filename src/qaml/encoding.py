@@ -36,7 +36,7 @@ class EncodingSpec:
     axis: str = "Y"
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ConfigError(f"unknown encoding method {self.method!r}")
         if not isinstance(self.axis, str) or self.axis.upper() not in AXES:
             raise ConfigError(f"rotation axis must be one of {AXES}, got {self.axis!r}")

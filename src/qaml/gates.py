@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -46,16 +46,18 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 class GateMatrix:
     """A named unitary: 2x2 for single-qubit gates, 4x4 for CX.
 
-    `angle` is set exactly for the rotation gates RX/RY/RZ.
+    `angle` is set exactly for the rotation gates RX/RY/RZ. A gate owns its read-only matrix:
+    it is copied, unless the library hands over one that no caller holds (`_owned=True`).
     """
 
     name: str
     arity: int
     matrix: np.ndarray = field(repr=False)
     angle: float | None = None
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+    def __post_init__(self, _owned):
+        mat = (np.asarray if _owned else np.array)(self.matrix, dtype=np.complex128)
         object.__setattr__(self, "arity", _integer(self.arity, "arity", InvariantError))
         if self.arity < 1:
             raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")
@@ -103,20 +105,6 @@ def gate_z() -> GateMatrix:
     return gate_from_name("Z")
 
 
-def rotation_matrix(name: str, theta: float) -> np.ndarray:
-    """Raw 2x2 rotation matrix about the named axis, angle in radians."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if name == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if name == "RY":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if name == "RZ":
-        return np.array(
-            [[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128
-        )
-    raise UnknownGate(f"unknown rotation {name!r}")
-
-
 def gate_rx(theta: float) -> GateMatrix:
     return gate_from_name("RX", theta)
 
@@ -148,20 +136,27 @@ def _check_gate(name, angle=None, param=None) -> tuple[str, float | None]:
     return name, None if angle is None else _real(angle, "rotation angle", NonFiniteAngle)
 
 
-def op_matrix(name: str, angle: float | None = None) -> np.ndarray:
-    """Raw matrix of an op that passed `_check_gate`: the shared constant of
-    a fixed gate, or a fresh rotation matrix if the angle is finite."""
+def op_matrix(name: str, angle: float | None) -> np.ndarray:
+    """Raw matrix of an op that passed `_check_gate`: the shared constant of a fixed
+    gate, or a fresh rotation matrix about the named axis if the angle (radians) is finite."""
     if angle is None:
         return FIXED_MATRICES[name]
     if not math.isfinite(angle):
         raise NonFiniteAngle(f"rotation angle must be finite, got {angle}")
-    return rotation_matrix(name, angle)
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    if name == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+    if name == "RY":
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    if name == "RZ":
+        return np.array([[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128)
+    raise UnknownGate(f"unknown rotation {name!r}")
 
 
 def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     """Build a gate from its mnemonic, with the angle for rotation gates."""
     name, angle = _check_gate(name, angle)
-    return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle)
+    return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle, _owned=True)
 
 
 def _check_target(target, earlier, n_qubits: int | None = None) -> int:

@@ -21,14 +21,15 @@ gradient step. Every readout takes |a|^2 from `state.probabilities`, by row.
 the gradient's loss factors. Passes run in three buffers the objective owns,
 with steps bound once. Parameter shift keeps its running prefix in one, so
 each shifted pass reruns only the ops from its parameter onward; its readouts
-run in template order (+ then - per op), and a shot readout draws in row
-blocks, the same stream as drawing sample by sample.
+(`circuit._readout`, which draws a shot estimate in row blocks, the same stream
+as drawing sample by sample) run in template order (+ then - per op).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -39,9 +40,9 @@ from .circuit import (
     Circuit,
     CircuitOp,
     Histogram,
-    _cdf,
     _check_ops,
     _check_seed,
+    _readout,
     _rng,
     _run,
     execute,
@@ -147,9 +148,11 @@ class LossSpec:
     qubit: int = 0
 
     def __post_init__(self):
-        inputs = tuple(self.inputs)
+        inputs = tuple(self.inputs) if np.iterable(self.inputs) else (self.inputs,)
         if not inputs:
             raise EmptyDataset("loss needs at least one input state")
+        if misfits := [state for state in inputs if not isinstance(state, StateVector)]:
+            raise InvariantError(f"a loss input must be a StateVector, got {misfits[0]!r}")
         if self.labels is not None:
             labels = tuple(_reals(self.labels, "label", InvalidLabel).tolist())
             if len(labels) != len(inputs):
@@ -169,29 +172,6 @@ def _bound_angles(template: AnsatzTemplate, params: np.ndarray) -> list:
 def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
     """The batch after the bound ansatz; `tensor` is left as it is."""
     return _run(np.array(tensor, order="C"), template.ops, angles)
-
-
-def _readout(probs: np.ndarray, signs: np.ndarray, shots: int = 0, rng=None) -> np.ndarray:
-    """Z expectation per row: exact when `shots` is 0, else a shot estimate.
-
-    The shot estimate takes `shots` draws per row from `rng`, in row blocks of
-    at most `MAX_SHOTS` draws that Philox fills row-major, which equals drawing
-    the rows one after another with the inverse-CDF reference sampler
-    `draw_indices` in `tests/conftest.py`. A draw u lands at or past outcome
-    b exactly when u >= cdf[b - 1], so counting draws at or past each sign
-    change of `signs` gives the number of -1 outcomes without mapping any
-    draw to its outcome."""
-    if shots == 0:
-        return probs @ signs
-    cuts = _cdf(probs)[:, np.flatnonzero(signs[1:] != signs[:-1])]
-    step = max(1, MAX_SHOTS // shots)
-    n_minus = []
-    for block in np.split(cuts, range(step, len(cuts), step)):
-        draws = rng.random((len(block), shots))
-        # signs start at +1 and flip at each cut: a -1 outcome is past an odd number of cuts
-        past = [np.count_nonzero(draws >= cut[:, None], axis=1) for cut in block.T]
-        n_minus.append(sum(past[0::2]) - sum(past[1::2]))
-    return (shots - 2.0 * np.concatenate(n_minus)) / shots
 
 
 class _Objective:
@@ -263,9 +243,9 @@ class _Objective:
                 d_exps[op.param] += sign * _readout(probs, self.signs, self.config.shots, self.rng)
         return d_exps @ factors
 
-    def fd_gradient(self, params: np.ndarray, step: float) -> np.ndarray:
-        """Central differences of the loss, one parameter at a time."""
-        grad = np.empty(self.template.n_params)
+    def fd_gradient(self, params: np.ndarray) -> np.ndarray:
+        """Central differences of the loss, one parameter at a time, `fd_step` apart."""
+        grad, step = np.empty(self.template.n_params), self.config.fd_step
         for j in range(self.template.n_params):
             hi, lo = params.copy(), params.copy()
             with np.errstate(over="ignore"):  # an infinite angle fails in the op loop
@@ -278,7 +258,7 @@ class _Objective:
         """The gradient by the config's method, the one place that picks it. Parameter
         shift reads its loss factors from `probs`, the unshifted pass, run here if not given."""
         if self.config.gradient_method == "finite_difference":
-            return self.fd_gradient(params, self.config.fd_step)
+            return self.fd_gradient(params)
         angles = _bound_angles(self.template, params)
         if probs is None:
             probs = self.probs(angles)
@@ -343,7 +323,7 @@ class TrainConfig:
             )
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be non-negative")
-        if self.gradient_method not in GRADIENT_METHODS:
+        if not isinstance(self.gradient_method, str) or self.gradient_method not in GRADIENT_METHODS:
             raise ConfigError(f"unknown gradient method {self.gradient_method!r}")
         if self.gradient_method == "finite_difference":
             if self.fd_step is None:
@@ -424,9 +404,12 @@ def train(
         )
     labels = []
     states = []
-    for index, (features, label) in enumerate(data):
-        if isinstance(label, (bool, np.bool_)) or label not in (-1, 1):
-            raise InvalidLabel(f"label must be -1 or +1, got {label}")
+    for index, row in enumerate(data):
+        if not np.iterable(row) or len(pair := tuple(row)) != 2:
+            raise DatasetError(f"sample {index}: expected a (features, label) pair, got {row!r}")
+        features, label = pair
+        if isinstance(label, bool) or not isinstance(label, numbers.Real) or label not in (-1, 1):
+            raise InvalidLabel(f"sample {index}: label must be -1 or +1, got {label}")
         labels.append(float(label))
         try:
             states.append(_encode_sample(features, encoding, config.hadamard_layer))

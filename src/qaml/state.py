@@ -39,10 +39,10 @@ class StateVector:
     def __post_init__(self, _owned):
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits, max_qubits=None))
         amps = (np.asarray if _owned else np.array)(self.amplitudes, dtype=np.complex128)
-        dim = 1 << self.n_qubits
-        if amps.shape != (dim,):
+        # capped at 2**63 amplitudes, more than any array holds, so an absurd n builds no n-bit int
+        if amps.shape != (1 << min(self.n_qubits, 63),):
             raise InvariantError(
-                f"expected {dim} amplitudes for {self.n_qubits} qubits, got shape {amps.shape}"
+                f"expected 2**{self.n_qubits} amplitudes for {self.n_qubits} qubits, got shape {amps.shape}"
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InvariantError("amplitudes must be finite")

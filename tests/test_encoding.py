@@ -24,7 +24,7 @@ from qaml.errors import (
     NonFiniteFeature,
     ZeroVector,
 )
-from qaml.gates import rotation_matrix
+from qaml.gates import op_matrix
 
 
 class TestBasisEncoding:
@@ -112,7 +112,7 @@ class TestAngleEncoding:
                 state = execute(encode_angle(features, axis))
                 expected = np.array([1.0], dtype=np.complex128)
                 for theta in features:
-                    single = rotation_matrix(f"R{axis}", theta) @ np.array([1.0, 0.0])
+                    single = op_matrix(f"R{axis}", theta) @ np.array([1.0, 0.0])
                     expected = np.kron(expected, single)
                 assert np.abs(state.amplitudes - expected).max() < 1e-12
 

@@ -208,6 +208,25 @@ class TestBadValues:
             # the hadamard_layer conflict is checked before the (empty) data
             (lambda: train(RY, [], EncodingSpec("amplitude"), TrainConfig(hadamard_layer=True)),
              errors.ConfigError),
+            # a histogram's counts are a dict keyed by strings
+            (lambda: Histogram(2, {0: 1, "1": 1}), errors.InvariantError),
+            (lambda: Histogram(1, {1: 1}), errors.InvariantError),
+            (lambda: Histogram(2, [("0", 2)]), errors.InvariantError),
+            (lambda: Histogram(1, None), errors.InvariantError),
+            # a state's amplitudes do not fit an absurd register
+            (lambda: StateVector(20000, [1]), errors.InvariantError),
+            # loss inputs are states, and a training row is a (features, -1 or +1) pair
+            (lambda: loss_value(RY, [0.1], LossSpec("ab")), errors.InvariantError),
+            (lambda: LossSpec((np.array([1, 0]),)), errors.InvariantError),
+            (lambda: LossSpec(None), errors.InvariantError),
+            # its own id keeps the other DatasetError row's id `<lambda>-DatasetError`
+            pytest.param(lambda: train(RY, [([0.1],)], EncodingSpec("angle"), TrainConfig()),
+                         errors.DatasetError, id="row-not-a-pair"),
+            (lambda: train(RY, [([0.1], np.array([1, 1]))], EncodingSpec("angle"), TrainConfig()),
+             errors.InvalidLabel),
+            # an encoding method and a gradient method are strings
+            (lambda: EncodingSpec(np.array(["a", "b"])), errors.ConfigError),
+            (lambda: TrainConfig(gradient_method=np.array(["a", "b"])), errors.ConfigError),
         ],
     )
     def test_raises_its_own_class(self, build, error):

@@ -31,7 +31,7 @@ from qaml.errors import (
     TargetOutOfRange,
     UnknownGate,
 )
-from qaml.gates import GateMatrix, gate_from_name, rotation_matrix
+from qaml.gates import GateMatrix, gate_from_name, op_matrix
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -175,9 +175,19 @@ class TestGateMatrixChecks:
     def test_arity_is_stored_as_an_int(self):
         assert type(GateMatrix("H", np.int64(1), np.eye(2)).arity) is int
 
+    def test_owns_its_matrix(self):
+        # the caller's matrix stays writable, and a later write reaches no gate
+        base = np.eye(2, dtype=np.complex128)
+        gate, from_view = GateMatrix("U", 1, base), GateMatrix("U", 1, base[:])
+        base[0, 0] = 7
+        assert gate.matrix[0, 0] == from_view.matrix[0, 0] == 1
+        assert not gate.matrix.flags.writeable
+        # the library hands its own matrices over: the shared CX stays shared
+        assert gate_cx().matrix is gates.FIXED_MATRICES["CX"]
+
     def test_unknown_rotation_axis(self):
         with pytest.raises(UnknownGate, match="unknown rotation 'RW'"):
-            rotation_matrix("RW", 0.1)
+            op_matrix("RW", 0.1)
 
 
 class TestCX:

@@ -889,6 +889,19 @@ class TestTrain:
         with pytest.raises(InvalidLabel, match="label must be -1 or \\+1, got True"):
             train(RY_TEMPLATE, [([0.1], label)], EncodingSpec("angle"), TrainConfig())
 
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            (([0.2],), DatasetError, r"sample 1: expected a \(features, label\) pair, got \(\[0.2\],\)"),
+            (0.2, DatasetError, r"sample 1: expected a \(features, label\) pair, got 0.2"),
+            (([0.2], np.array([1, 1])), InvalidLabel, r"sample 1: label must be -1 or \+1, got \[1 1\]"),
+            (([0.2], "1"), InvalidLabel, r"sample 1: label must be -1 or \+1, got 1"),
+        ],
+    )
+    def test_bad_row_names_its_sample(self, row, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            train(RY_TEMPLATE, [([0.1], 1), row], EncodingSpec("angle"), TrainConfig())
+
     @pytest.mark.parametrize("method", ["basis", "superposition"])
     @pytest.mark.parametrize("feature", [True, np.True_, False])
     def test_bool_feature(self, method, feature):

@@ -1,6 +1,6 @@
 """The vectorised samplers against per-row and per-draw references.
 
-`hybrid._readout` takes its draws in blocks of rows and counts them at the
+`circuit._readout` takes its draws in blocks of rows and counts them at the
 sign changes of the Z signs; `circuit.sample_state` counts sorted draws
 per outcome. Both must give exactly what drawing outcome indices one row at a
 time with the reference sampler, `conftest.draw_indices`, gives, and leave
@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import draw_indices
-from qaml import StateVector, circuit, hybrid, probabilities, sample_state
+from qaml import StateVector, circuit, probabilities, sample_state
 from qaml.circuit import _rng
 from qaml.hybrid import _readout, _z_signs
 
@@ -64,7 +64,7 @@ def test_shot_readout_memory_follows_the_block_not_the_batch(monkeypatch, qubit)
     weights = np.random.default_rng(qubit).random((64, 16))
     probs, signs = weights / weights.sum(axis=1, keepdims=True), _z_signs(4, qubit)
     whole = _readout(probs, signs, 4096, _rng(5))
-    monkeypatch.setattr(hybrid, "MAX_SHOTS", 8192)
+    monkeypatch.setattr(circuit, "MAX_SHOTS", 8192)
     tracemalloc.start()
     try:
         blocked = _readout(probs, signs, 4096, _rng(5))

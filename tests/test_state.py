@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -147,6 +149,17 @@ class TestInvariants:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             StateVector(2, [1.0, 0.0])
+
+    def test_absurd_register_builds_no_n_bit_integer(self):
+        # 2**(10**7) would be a 1.2 MiB integer, and its decimal form too long to print
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantError, match=r"^expected 2\*\*10000000 amplitudes for 10000000 qubits"):
+                StateVector(10**7, [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
 
     def test_amplitudes_are_read_only(self):
         state = make_basis_state(1, "0")
