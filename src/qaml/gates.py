@@ -9,7 +9,9 @@ until it moves the qubits back; `_relabel` makes both copies. `apply_gate`
 binds, steps and restores once; the one op loop, `circuit._run`, behind
 `execute` and the batched ansatz pass, reuses a step per targets, buffer and
 axis order. The results are bit-identical to the contraction kernel it
-replaced, the oracle of `tests/test_kernel_oracle.py` (see `_bind`). There is
+replaced, the oracle of `tests/test_kernel_oracle.py` (see `_bind`). Buffers
+are complex128, or float64 for real amplitudes under the real gates
+(`REAL_GATES`), whose steps take the real part of each matrix. There is
 no elementwise pair-update or phase-multiply path: numpy's complex arithmetic
 does not fuse multiply-adds as OpenBLAS zgemm does, so it would move the last
 bits. Only the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
@@ -61,9 +63,11 @@ class GateMatrix:
         object.__setattr__(self, "arity", _integer(self.arity, "arity", InvariantError))
         if self.arity < 1:
             raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")
-        dim = 2**self.arity
+        # capped as a `StateVector`'s size is, so an absurd arity builds no huge int
+        dim = 1 << min(self.arity, 63)
         if mat.shape != (dim, dim):
-            raise InvariantError(f"gate {self.name}: expected {dim}x{dim} matrix, got {mat.shape}")
+            size = dim if self.arity < 63 else f"2**{self.arity}"
+            raise InvariantError(f"gate {self.name}: expected {size}x{size} matrix, got {mat.shape}")
         deviation = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
         if deviation > UNITARITY_ATOL:
             raise InvariantError(f"gate {self.name} is not unitary (max |U†U - I| = {deviation})")
@@ -86,7 +90,8 @@ FIXED_MATRICES = {
     "Z": _constant([[1, 0], [0, -1]]),
     "CX": _constant([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
 }
-_ZERO = _constant(0.0)  # a 0-d array spares `np.add` converting a Python scalar per call
+# The gates whose matrices are real: a real state stays real under them.
+REAL_GATES = frozenset({"H", "X", "Z", "RY", "CX"})
 
 
 def gate_h() -> GateMatrix:
@@ -228,8 +233,8 @@ def _relabel(src: np.ndarray, out: np.ndarray, order, new_order) -> tuple:
 
 
 def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool):
-    """The kernel for distinct C-contiguous `(2**n, batch)` complex128 buffers `src`,
-    its axes in `order`, and `out`, its path and views built once: `(step, into_out,
+    """The kernel for distinct C-contiguous `(2**n, batch)` buffers `src`, its axes in
+    `order`, and `out`, of one dtype, its path and views built once: `(step, into_out,
     order after)`. `step(matrix)` makes only its numpy calls and leaves the product in
     `out`, or for a staged gate in `src`, with its axes in the order after. A step is
     valid while both buffers live. Targets are not checked here (control first for CX).
@@ -241,18 +246,25 @@ def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tup
     (the last N mod 4), whatever the axis order. A one-qubit gate is one zgemm per
     block of the `(blocks, 2, cols)` view around its axis when no block has remainder
     columns; CX is a permutation when the staged product has none; everything else is
-    relabeled into the contraction's order (N mod 4 > 0 leaves at most one other qubit)."""
+    relabeled into the contraction's order (N mod 4 > 0 leaves at most one other qubit).
+
+    On float64 buffers, with a real gate's real matrix, every path gives the real part
+    of the complex128 result up to the sign of zeros, except a one-column product
+    that is not a permutation: numpy hands it to gemv, and dgemv rounds with fused
+    multiply-adds where zgemv does not. Only one qubit with batch 1 stages one."""
     path, shape, slices, after = _layout(*src.shape, order, targets, is_cx)
     if path == "matmul":
         src, out = src.reshape(shape), out.reshape(shape)
         return (lambda matrix: np.matmul(matrix, src, out=out)), True, after
     if path == "cx":
         pairs = [(src.reshape(shape)[s], out.reshape(shape)[d]) for s, d in slices]
+        # a 0-d zero of the buffer's dtype spares `np.add` a conversion per call
+        zero = np.zeros((), src.dtype)
 
         def step(matrix):
             # adding zero turns -0.0 into +0.0, as the permutation matrix's zgemm does
             for source, destination in pairs:
-                np.add(source, _ZERO, out=destination)
+                np.add(source, zero, out=destination)
 
         return step, True, after
     staged, stage_from = _relabel(src, out, order, after)

@@ -23,6 +23,16 @@ with steps bound once. Parameter shift keeps its running prefix in one, so
 each shifted pass reruns only the ops from its parameter onward; its readouts
 (`circuit._readout`, which draws a shot estimate in row blocks, the same stream
 as drawing sample by sample) run in template order (+ then - per op).
+
+The batch is float64 when every template op is real (`gates.REAL_GATES`: H, X,
+Z, RY and CX, as in `cli.default_ansatz`, Qiskit's `RealAmplitudes`) and every
+encoded amplitude is real (Y-axis angle rows, with or without the Hadamard
+layer, and amplitude rows). Its passes then move half the bytes of complex128
+and do a quarter of the flops, and each float64 result equals the complex
+result's real part up to the sign of zeros, which |a|^2 drops, so no loss,
+gradient or report changes. A single column on one qubit stays complex128: its
+staged product is a matrix-vector product, which dgemv rounds with fused
+multiply-adds and zgemv does not. So does `train`'s final-histogram pass.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from .errors import (
     QubitMismatch,
     SimulationError,
 )
-from .gates import _check_target
+from .gates import REAL_GATES, _check_target
 from .state import StateVector, _check_register, _integer, _real, _reals
 from .state import make_basis_state, probabilities
 
@@ -170,8 +180,8 @@ def _bound_angles(template: AnsatzTemplate, params: np.ndarray) -> list:
 
 
 def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> np.ndarray:
-    """The batch after the bound ansatz; `tensor` is left as it is."""
-    return _run(np.array(tensor, order="C"), template.ops, angles)
+    """The batch after the bound ansatz, in complex128; `tensor` is left as it is."""
+    return _run(np.array(tensor, dtype=np.complex128, order="C"), template.ops, angles)
 
 
 class _Objective:
@@ -191,7 +201,10 @@ class _Objective:
                     f"template has {template.n_qubits}"
                 )
         self.template = template
-        self.tensor = np.stack([s.amplitudes for s in loss_spec.inputs], axis=1)
+        tensor = np.stack([s.amplitudes for s in loss_spec.inputs], axis=1)
+        # real gates keep real amplitudes real; a single column stays complex (see the module doc)
+        real = tensor.size > 2 and REAL_GATES.issuperset(op.gate_name for op in template.ops)
+        self.tensor = tensor.real.copy() if real and not tensor.imag.any() else tensor
         self._buffers, self._plans = [np.empty_like(self.tensor, order="C") for _ in range(3)], {}
         self.signs = _z_signs(template.n_qubits, loss_spec.qubit)
         self.labels = None if loss_spec.labels is None else np.asarray(loss_spec.labels)

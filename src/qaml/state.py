@@ -146,7 +146,10 @@ def norm_squared(state) -> float:
 def probabilities(state) -> np.ndarray:
     """Born-rule probability |a|^2 of each amplitude, index-aligned with them: the
     package's one |a|^2. Accepts a StateVector or a raw complex array of any shape,
-    such as a transposed batch-last buffer, and returns a C-contiguous array."""
+    such as a transposed batch-last buffer, or a float64 array of real amplitudes
+    (training's real batches), and returns a C-contiguous array."""
+    if isinstance(state, np.ndarray) and state.dtype == np.float64:
+        return np.square(state, order="C")
     amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, dtype=np.complex128)
     probs = np.square(amps.real, order="C")
     probs += np.square(amps.imag)

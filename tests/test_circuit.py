@@ -432,6 +432,12 @@ class TestHistogram:
         assert type(histogram.shots) is int
         assert json.loads(histogram.to_json()) == {"counts": {"0": 2}, "shots": 2}
 
+    def test_copies_the_callers_counts(self):
+        counts = {"0": 1}
+        histogram = Histogram(1, counts)
+        counts["1"] = 5
+        assert histogram.to_json() == '{"counts": {"0": 1}, "shots": 1}'
+
     def test_json_keys_sorted(self):
         payload = Histogram(3, {"10": 1, "01": 2}).to_json()
         assert payload == '{"counts": {"01": 2, "10": 1}, "shots": 3}'

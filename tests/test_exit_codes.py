@@ -227,6 +227,8 @@ class TestBadValues:
             # an encoding method and a gradient method are strings
             (lambda: EncodingSpec(np.array(["a", "b"])), errors.ConfigError),
             (lambda: TrainConfig(gradient_method=np.array(["a", "b"])), errors.ConfigError),
+            # a gate's matrix does not fit an absurd arity
+            (lambda: GateMatrix("H", 20000, np.eye(2)), errors.InvariantError),
         ],
     )
     def test_raises_its_own_class(self, build, error):

@@ -150,6 +150,10 @@ class TestGateMatrixChecks:
         with pytest.raises(InvariantError, match=r"gate bad: expected 2x2 matrix, got \(4, 4\)"):
             GateMatrix("bad", 1, np.eye(4))
 
+    def test_absurd_arity_names_the_power(self):
+        with pytest.raises(InvariantError, match=r"expected 2\*\*20000x2\*\*20000 matrix, got \(2, 2\)"):
+            GateMatrix("H", 20000, np.eye(2))
+
     def test_not_unitary(self):
         with pytest.raises(InvariantError, match="gate bad is not unitary"):
             GateMatrix("bad", 1, [[1, 1], [0, 1]])

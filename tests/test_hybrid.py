@@ -520,6 +520,85 @@ class TestObjectiveBuffers:
         np.testing.assert_array_equal(own[1].view(np.uint64), fresh[1].view(np.uint64))
 
 
+def real_template(n_qubits):
+    """The default ansatz with an H, an X and a Z after its last parameter, so every
+    shifted pass runs each real gate."""
+    ops = default_ansatz(n_qubits).ops
+    tail = (AnsatzOp("H", (0,)), AnsatzOp("X", (n_qubits // 2,)), AnsatzOp("Z", (n_qubits - 1,)))
+    return AnsatzTemplate(n_qubits, ops + tail, 2 * n_qubits)
+
+
+def real_objective(template, batch, encoding, hadamard, rng):
+    """An objective on `batch` rows encoded as `train` encodes them: angle rows that
+    include 0.0, -0.0, pi and -pi, or amplitude rows with zeros and both signs."""
+    n = template.n_qubits
+    if encoding.method == "angle":
+        rows = rng.choice([0.0, -0.0, math.pi, -math.pi, 0.7, -2.1, 1.3], size=(batch, n))
+    else:
+        rows = rng.choice([0.0, -0.0, 0.5, -1.25, 2.0], size=(batch, 1 << n))
+        rows[:, 0] = 1.0  # no all-zero row
+    inputs = tuple(hybrid._encode_sample(row, encoding, hadamard) for row in rows)
+    return hybrid._Objective(template, LossSpec(inputs, tuple(rng.choice([-1.0, 1.0], batch))))
+
+
+REAL_ROWS = {
+    "y": (EncodingSpec("angle", "y"), False),
+    "y_hadamard": (EncodingSpec("angle", "y"), True),
+    "amplitude": (EncodingSpec("amplitude"), False),
+}
+
+
+class TestRealBatch:
+    """A batch whose encoded amplitudes and template ops are all real runs its
+    passes in float64, and keeps the bits of the same objective in complex128."""
+
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    @pytest.mark.parametrize("hadamard", [False, True])
+    def test_x_and_z_rows_stay_complex(self, axis, hadamard, rng):
+        objective = real_objective(real_template(3), 4, EncodingSpec("angle", axis), hadamard, rng)
+        assert objective.tensor.dtype == np.complex128
+
+    @pytest.mark.parametrize("name", ["RX", "RZ", "Y"])
+    def test_a_complex_op_keeps_the_batch_complex(self, name, rng):
+        op = AnsatzOp(name, (1,), param=0) if name in gates.ROTATION_GATES else AnsatzOp(name, (1,))
+        template = AnsatzTemplate(3, (op, *real_template(3).ops), 6)
+        objective = real_objective(template, 4, EncodingSpec("angle", "y"), False, rng)
+        assert objective.tensor.dtype == np.complex128
+
+    def test_one_sample_on_one_qubit_stays_complex(self, rng):
+        # its staged product is one column, which numpy hands to gemv, and dgemv
+        # rounds with fused multiply-adds where zgemv does not
+        objective = real_objective(real_template(1), 1, EncodingSpec("angle", "y"), False, rng)
+        assert objective.tensor.dtype == np.complex128
+
+    @pytest.mark.parametrize("rows", list(REAL_ROWS))
+    def test_real_rows_run_in_float64(self, rows, rng):
+        objective = real_objective(real_template(3), 4, *REAL_ROWS[rows], rng)
+        assert objective.tensor.dtype == np.float64
+        assert objective.tensor.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_keeps_the_bits_of_complex_passes(self, n_qubits, monkeypatch):
+        template = real_template(n_qubits)
+        for batch in [*range(1, 13), 256]:
+            for case, rows in enumerate(REAL_ROWS.values()):
+                seed = (n_qubits, batch, case)
+                real = real_objective(template, batch, *rows, np.random.default_rng(seed))
+                with monkeypatch.context() as patch:
+                    patch.setattr(hybrid, "REAL_GATES", frozenset())
+                    forced = real_objective(template, batch, *rows, np.random.default_rng(seed))
+                assert forced.tensor.dtype == np.complex128
+                assert real.tensor.dtype == (np.float64 if (2**n_qubits, batch) != (2, 1) else np.complex128)
+                params = np.random.default_rng(seed).uniform(-3, 3, size=template.n_params)
+                angles = hybrid._bound_angles(template, params)
+                probs = real.probs(angles)
+                np.testing.assert_array_equal(probs.view(np.uint64), forced.probs(angles).view(np.uint64))
+                factors = real.loss(probs)[1]
+                got = real.shift_gradient(angles, factors)
+                expected = forced.shift_gradient(angles, factors)
+                np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestLossSpecQubitCount:
     """A loss input whose width differs from the template's is named, not
     left to fail inside numpy."""
