@@ -20,7 +20,9 @@ Z readout, counts draws past each sign change in blocks of at most `MAX_SHOTS`.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,26 +88,26 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Shot counts keyed by measured bitstring. A histogram copies the counts it is
-    given, unless the library hands over a dict that no caller holds (`_owned=True`)."""
+    """Shot counts keyed by measured bitstring, kept as a read-only copy of the dict given."""
 
     shots: int
-    counts: dict[str, int]
-    _owned: InitVar[bool] = False
+    counts: Mapping[str, int]
 
-    def __post_init__(self, _owned):
+    def __post_init__(self):
         object.__setattr__(self, "shots", _check_shots(self.shots))
         if not isinstance(self.counts, dict) or set(map(type, self.counts)) - {str}:
             raise InvariantError("histogram counts must be a dict keyed by strings")
-        if not _owned:
-            object.__setattr__(self, "counts", dict(self.counts))
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         if set(map(type, self.counts.values())) - {int} or min(self.counts.values(), default=0) < 0:
             raise InvariantError("histogram counts must be non-negative integers")
         if sum(self.counts.values()) != self.shots:
             raise InvariantError("histogram counts must sum to shots")
 
+    def _payload(self) -> dict:
+        return {"shots": self.shots, "counts": dict(self.counts)}
+
     def to_json(self) -> str:
-        return json.dumps({"shots": self.shots, "counts": self.counts}, sort_keys=True)
+        return json.dumps(self._payload(), sort_keys=True)
 
 
 def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
@@ -115,7 +117,7 @@ def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
     call while both buffers live) holds one bound step per (targets, CX, buffer, axis order)
     of this (src, scratch) pair. One matrix per op object whose angle is its own (by identity,
     so a bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call; on a float64
-    `src`, whose ops must all be in `gates.REAL_GATES`, it is the matrix's real part."""
+    `src` (real gates only, see `qaml.hybrid`) it is a contiguous copy of its real part."""
     scratch = np.empty_like(src) if scratch is None else scratch
     buffers, current, order = (src, scratch), 0, tuple(range(src.shape[0].bit_length()))
     plans, matrices, real = {} if plans is None else plans, {}, src.dtype == np.float64
@@ -127,7 +129,7 @@ def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
                 exc.op_index = index
                 exc.args = (f"op {index} ({op.gate_name}): {exc}",)
                 raise
-            matrix = matrix.real if real else matrix
+            matrix = np.ascontiguousarray(matrix.real) if real else matrix
             if angle is op.angle:
                 matrices[id(op)] = matrix
         key = (op.targets, op.gate_name == "CX", current, order)
@@ -227,8 +229,7 @@ def sample_state(state: StateVector, shots: int, seed: int) -> Histogram:
     counts = np.diff(np.searchsorted(draws, _cdf(probabilities(state)), side="left"), prepend=0)
     del draws  # free the draw buffer before the labels are built
     seen = np.flatnonzero(counts)
-    labels = bitstrings(state.n_qubits, seen)
-    return Histogram(shots, dict(zip(labels, counts[seen].tolist())), _owned=True)
+    return Histogram(shots, dict(zip(bitstrings(state.n_qubits, seen), counts[seen].tolist())))
 
 
 def sample(circuit: Circuit, shots: int, seed: int) -> Histogram:

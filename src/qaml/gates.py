@@ -9,12 +9,11 @@ until it moves the qubits back; `_relabel` makes both copies. `apply_gate`
 binds, steps and restores once; the one op loop, `circuit._run`, behind
 `execute` and the batched ansatz pass, reuses a step per targets, buffer and
 axis order. The results are bit-identical to the contraction kernel it
-replaced, the oracle of `tests/test_kernel_oracle.py` (see `_bind`). Buffers
-are complex128, or float64 for real amplitudes under the real gates
-(`REAL_GATES`), whose steps take the real part of each matrix. There is
+replaced, the oracle of `tests/test_kernel_oracle.py` (see `_bind`). There is
 no elementwise pair-update or phase-multiply path: numpy's complex arithmetic
 does not fuse multiply-adds as OpenBLAS zgemm does, so it would move the last
 bits. Only the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
+Buffers are complex128, or float64 for training's real batches (see `qaml.hybrid`).
 """
 
 from __future__ import annotations
@@ -248,10 +247,8 @@ def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tup
     columns; CX is a permutation when the staged product has none; everything else is
     relabeled into the contraction's order (N mod 4 > 0 leaves at most one other qubit).
 
-    On float64 buffers, with a real gate's real matrix, every path gives the real part
-    of the complex128 result up to the sign of zeros, except a one-column product
-    that is not a permutation: numpy hands it to gemv, and dgemv rounds with fused
-    multiply-adds where zgemv does not. Only one qubit with batch 1 stages one."""
+    Float64 buffers take a C-contiguous real matrix, so each zgemm above is a dgemm, or
+    a dgemv for a one-column staged product (`qaml.hybrid` says when its bits match)."""
     path, shape, slices, after = _layout(*src.shape, order, targets, is_cx)
     if path == "matmul":
         src, out = src.reshape(shape), out.reshape(shape)

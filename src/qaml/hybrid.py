@@ -41,7 +41,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -377,7 +377,8 @@ class TrainReport:
     circuit_depth: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # `asdict` cannot deep-copy a histogram's read-only counts
+        return json.dumps(vars(self), sort_keys=True, default=Histogram._payload)
 
 
 def _encode_sample(features, encoding: EncodingSpec, use_hadamard: bool) -> StateVector:

@@ -438,6 +438,15 @@ class TestHistogram:
         counts["1"] = 5
         assert histogram.to_json() == '{"counts": {"0": 1}, "shots": 1}'
 
+    @pytest.mark.parametrize("built", ["by_hand", "sampled"])
+    def test_counts_are_read_only(self, built):
+        histogram = Histogram(2, {"0": 2}) if built == "by_hand" else sample(Circuit(1, []), 2, 0)
+        with pytest.raises(TypeError):
+            histogram.counts["0"] += 5
+        with pytest.raises(TypeError):
+            histogram.counts["1"] = 5
+        assert histogram.to_json() == '{"counts": {"0": 2}, "shots": 2}'
+
     def test_json_keys_sorted(self):
         payload = Histogram(3, {"10": 1, "01": 2}).to_json()
         assert payload == '{"counts": {"01": 2, "10": 1}, "shots": 3}'
