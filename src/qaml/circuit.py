@@ -1,20 +1,14 @@
 """Circuit intermediate representation, execution, and basis measurement.
 
-`_run` is the one op loop: it applies the gate kernel in program order to a
-batch-last `(2^n, batch)` buffer and a scratch buffer, follows the axis order
-a staged gate leaves, binds each kernel step (`gates._bind`) once per plans
-dict, which an owner of both buffers keeps, and builds each op matrix once per
-call. `execute` runs it on a |0...0> column, `hybrid` on encoded batches.
+`_run` is the one op loop, whose docstring says how it binds and keeps kernel
+steps; `execute` runs it on a |0...0> column, `hybrid` on encoded batches.
 Ops pass the op and target rules when built and `_check_ops` (type, register
 fit) in a `Circuit`, so `_run` checks only finite angles; the state is checked on return.
-Every seed and shot count passes one check (`_check_seed`, `_check_shots`,
-which bounds shots by `MAX_SHOTS`), shared with `TrainConfig` and the CLI.
-Measurement and training's shot readout use the Philox counter-based generator
-(platform-independent) with inverse-CDF sampling over the cumulative probability
-sequence, so identical (inputs, seed) always reproduce identical outcomes. Every
-sampler builds that sequence with `_cdf` and neither maps a draw to its outcome:
-`sample_state` counts its sorted draws per outcome, and `_readout`, the batched
-Z readout, counts draws past each sign change in blocks of at most `MAX_SHOTS`.
+Every seed and shot count passes one check (`_check_seed`, `_check_shots`),
+shared with `TrainConfig` and the CLI. Every Philox draw is made here: the
+generator is counter-based and platform-independent, and measurement and
+training's shot readout (`_readout`) sample by inverse CDF over `_cdf`, so
+identical (inputs, seed) always reproduce identical outcomes.
 """
 
 from __future__ import annotations
@@ -113,11 +107,12 @@ class Histogram:
 def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
     """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed) and
     `scratch` (fresh if None), following the axis order staged gates leave; the result,
-    relabeled to qubit order, is one of the two. `plans` (fresh if None; it may outlive the
-    call while both buffers live) holds one bound step per (targets, CX, buffer, axis order)
-    of this (src, scratch) pair. One matrix per op object whose angle is its own (by identity,
+    relabeled to qubit order, is one of the two. `plans` (fresh if None) holds one bound
+    step per (targets, CX by op name, buffer, axis order) of this (src, scratch) pair; an
+    owner of both buffers keeps it, so later calls bind no step, and it stays valid while
+    both buffers live. One matrix per op object whose angle is its own (by identity,
     so a bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call; on a float64
-    `src` (real gates only, see `qaml.hybrid`) it is a contiguous copy of its real part."""
+    `src` (see `qaml.hybrid`) it is a contiguous copy of its real part."""
     scratch = np.empty_like(src) if scratch is None else scratch
     buffers, current, order = (src, scratch), 0, tuple(range(src.shape[0].bit_length()))
     plans, matrices, real = {} if plans is None else plans, {}, src.dtype == np.float64

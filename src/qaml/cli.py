@@ -109,9 +109,8 @@ def cmd_run(args) -> int:
     if args.format == "json":
         print(histogram.to_json())
     else:
-        width = max(len(k) for k in histogram.counts)
         for key in sorted(histogram.counts):
-            print(f"{key:<{width}}  {histogram.counts[key]}")
+            print(f"{key}  {histogram.counts[key]}")
     return 0
 
 

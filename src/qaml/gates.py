@@ -1,26 +1,17 @@
 """Gate matrices and their application to state vectors.
 
-The one gate kernel is `_bind(src, out, order, targets, is_cx)`: it builds its
-views of two batch-last `(2^n, batch)` buffers, axes in `order`, once, on the
-path `_layout` caches, and returns `step(matrix)`, which applies a 2x2 or 4x4
-unitary in O(2^n * batch) time with only its numpy calls. A staged step leaves
-its product in `src`, target axes first, and the caller tracks that axis order
-until it moves the qubits back; `_relabel` makes both copies. `apply_gate`
-binds, steps and restores once; the one op loop, `circuit._run`, behind
-`execute` and the batched ansatz pass, reuses a step per targets, buffer and
-axis order. The results are bit-identical to the contraction kernel it
-replaced, the oracle of `tests/test_kernel_oracle.py` (see `_bind`). There is
-no elementwise pair-update or phase-multiply path: numpy's complex arithmetic
-does not fuse multiply-adds as OpenBLAS zgemm does, so it would move the last
-bits. Only the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
-Buffers are complex128, or float64 for training's real batches (see `qaml.hybrid`).
+The one gate kernel is `_bind`, whose docstring states its bit contract: a bound
+step applies a 2x2 or 4x4 unitary to a batch-last `(2^n, batch)` buffer in
+O(2^n * batch) time with only its numpy calls. `apply_gate` binds, steps and
+restores once; `circuit._run` says how the one op loop reuses bound steps. Only
+the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,18 +38,18 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 class GateMatrix:
     """A named unitary: 2x2 for single-qubit gates, 4x4 for CX.
 
-    `angle` is set exactly for the rotation gates RX/RY/RZ. A gate owns its read-only matrix:
-    it is copied, unless the library hands over one that no caller holds (`_owned=True`).
+    `angle` is set exactly for the rotation gates RX/RY/RZ. A gate owns a read-only copy of
+    the matrix it is given: it shares neither the caller's array nor a library constant, and
+    leaves the caller's flags alone.
     """
 
     name: str
     arity: int
     matrix: np.ndarray = field(repr=False)
     angle: float | None = None
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
-        mat = (np.asarray if _owned else np.array)(self.matrix, dtype=np.complex128)
+    def __post_init__(self):
+        mat = np.array(self.matrix, dtype=np.complex128)
         object.__setattr__(self, "arity", _integer(self.arity, "arity", InvariantError))
         if self.arity < 1:
             raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")
@@ -160,7 +151,7 @@ def op_matrix(name: str, angle: float | None) -> np.ndarray:
 def gate_from_name(name: str, angle: float | None = None) -> GateMatrix:
     """Build a gate from its mnemonic, with the angle for rotation gates."""
     name, angle = _check_gate(name, angle)
-    return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle, _owned=True)
+    return GateMatrix(name, GATE_ARITY[name], op_matrix(name, angle), angle)
 
 
 def _check_target(target, earlier, n_qubits: int | None = None) -> int:
@@ -235,17 +226,21 @@ def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tup
     """The kernel for distinct C-contiguous `(2**n, batch)` buffers `src`, its axes in
     `order`, and `out`, of one dtype, its path and views built once: `(step, into_out,
     order after)`. `step(matrix)` makes only its numpy calls and leaves the product in
-    `out`, or for a staged gate in `src`, with its axes in the order after. A step is
-    valid while both buffers live. Targets are not checked here (control first for CX).
+    `out`, or for a staged gate in `src`, with its axes in the order after, which the
+    caller tracks until `_relabel` moves them back. A step is valid while both buffers
+    live. Targets are not checked here (control first for CX).
 
-    Results are bit-identical to the contraction this kernel replaced: one zgemm of
-    the gate with the state staged as `(2**arity, N)`, target axes first, then the
-    batch, then the other qubits. Every path does the same zgemm arithmetic per column,
-    and a column's bits depend only on whether BLAS treats it as a remainder column
-    (the last N mod 4), whatever the axis order. A one-qubit gate is one zgemm per
-    block of the `(blocks, 2, cols)` view around its axis when no block has remainder
-    columns; CX is a permutation when the staged product has none; everything else is
-    relabeled into the contraction's order (N mod 4 > 0 leaves at most one other qubit).
+    Results are bit-identical to the contraction this kernel replaced, the oracle of
+    `tests/test_kernel_oracle.py`: one zgemm of the gate with the state staged as
+    `(2**arity, N)`, target axes first, then the batch, then the other qubits. Every
+    path does the same zgemm arithmetic per column, and a column's bits depend only on
+    whether BLAS treats it as a remainder column (the last N mod 4), whatever the axis
+    order. A one-qubit gate is one zgemm per block of the `(blocks, 2, cols)` view
+    around its axis when no block has remainder columns; CX is a permutation when the
+    staged product has none; everything else is relabeled into the contraction's order
+    (N mod 4 > 0 leaves at most one other qubit). There is no elementwise pair-update or
+    phase-multiply path: numpy's complex arithmetic does not fuse multiply-adds as
+    OpenBLAS zgemm does, so it would move the last bits.
 
     Float64 buffers take a C-contiguous real matrix, so each zgemm above is a dgemm, or
     a dgemv for a one-column staged product (`qaml.hybrid` says when its bits match)."""
@@ -284,7 +279,8 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     src = state.amplitudes.reshape(-1, 1).copy()  # the kernel overwrites its source
     out = np.empty_like(src)
     order = tuple(range(state.n_qubits + 1))
-    step, into_out, after = _bind(src, out, order, targets, gate.matrix is FIXED_MATRICES["CX"])
+    is_cx = gate.arity == 2 and np.array_equal(gate.matrix, FIXED_MATRICES["CX"])
+    step, into_out, after = _bind(src, out, order, targets, is_cx)
     step(gate.matrix)
     if not into_out:
         np.copyto(*_relabel(src, out, after, order))

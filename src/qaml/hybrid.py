@@ -8,21 +8,12 @@ it with mean squared error against the label, and updates the ansatz angles
 by gradient descent.
 
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
-(`AnsatzOp` is another name for `CircuitOp`). `AnsatzTemplate` checks their type
-and register fit with `circuit._check_ops`, as `Circuit` does, so the op loop only
-looks up each op's matrix (`gates.op_matrix`). Angle encoding runs through
-`circuit.execute`, and the ansatz pass runs the encoded samples, the columns
-of one `(2^n, batch)` buffer, through the same op loop, `circuit._run`.
-`_Objective` holds that batch, the Z signs, the labels and the `TrainConfig`
-that sets its gradient method, `fd_step`, shots and seed. `loss_value`,
-`gradient` and `train` take the loss from it; `_Objective.gradient` is the one
-gradient step. Every readout takes |a|^2 from `state.probabilities`, by row.
-`train` runs the unshifted ansatz pass once per iteration, for the loss and
-the gradient's loss factors. Passes run in three buffers the objective owns,
-with steps bound once. Parameter shift keeps its running prefix in one, so
-each shifted pass reruns only the ops from its parameter onward; its readouts
-(`circuit._readout`, which draws a shot estimate in row blocks, the same stream
-as drawing sample by sample) run in template order (+ then - per op).
+(`AnsatzOp` is another name for `CircuitOp`), checked by `circuit._check_ops` as
+a `Circuit`'s are. Angle encoding runs through `circuit.execute`. `_Objective`
+runs the encoded samples, the columns of one `(2^n, batch)` buffer, through the
+same op loop, `circuit._run`; its docstring and `shift_gradient`'s say how the
+passes use its buffers. `loss_value`, `gradient` and `train` take the loss from
+it, and every readout takes |a|^2 from `state.probabilities`, by row.
 
 The batch is float64 when every template op is real (`gates.REAL_GATES`: H, X,
 Z, RY and CX, as in `cli.default_ansatz`, Qiskit's `RealAmplitudes`) and every
@@ -188,10 +179,11 @@ class _Objective:
     """The loss of `loss_spec`'s readout after `template`, on one batch.
 
     The encoded states are stacked once, as the columns of a C-contiguous
-    `(2**n, batch)` buffer, next to the readout's Z signs and the labels.
-    Every ansatz pass runs in three owned buffers of that shape, with its bound steps kept per
-    ordered (src, scratch) pair, so later iterations allocate no such buffer and bind no step.
-    Its settings come from one `TrainConfig`; with `shots` > 0 readouts draw from `_rng(seed)`."""
+    `(2**n, batch)` buffer, next to the readout's Z signs and the labels. Every ansatz
+    pass copies its input into one of three owned buffers of that shape and runs there,
+    with its bound steps kept per ordered (src, scratch) pair, so after the first
+    iteration no pass allocates such a buffer or binds a step. Its settings come from
+    one `TrainConfig`; with `shots` > 0 readouts draw from `_rng(seed)`, keyed here."""
 
     def __init__(self, template: AnsatzTemplate, loss_spec: LossSpec, config: TrainConfig | None = None):
         for index, state in enumerate(loss_spec.inputs):
@@ -202,7 +194,7 @@ class _Objective:
                 )
         self.template = template
         tensor = np.stack([s.amplitudes for s in loss_spec.inputs], axis=1)
-        # real gates keep real amplitudes real; a single column stays complex (see the module doc)
+        # the float64 rule of the module docstring
         real = tensor.size > 2 and REAL_GATES.issuperset(op.gate_name for op in template.ops)
         self.tensor = tensor.real.copy() if real and not tensor.imag.any() else tensor
         self._buffers, self._plans = [np.empty_like(self.tensor, order="C") for _ in range(3)], {}
@@ -236,9 +228,10 @@ class _Objective:
     def shift_gradient(self, angles: list, factors: np.ndarray) -> np.ndarray:
         """Parameter-shift gradient at the bound `angles`, given the loss
         `factors` of the unshifted pass: a +pi/2 and a -pi/2 readout per
-        parameterized op k, in template order. A running prefix in one owned
-        buffer is advanced to op k, and each shifted pass reruns only ops k.. on
-        a copy of it in another: kernel bits depend only on buffer shape, targets
+        parameterized op k, in template order (+ then -), the order seeded shot
+        runs draw in. A running prefix in one owned buffer is advanced to op k, and
+        each shifted pass reruns only ops k.. on a copy of it in a second, with
+        the third as scratch: kernel bits depend only on buffer shape, targets
         and axis order, so the gradient is that of full passes."""
         ops, buffers = self.template.ops, self._buffers
         d_exps = np.zeros((self.template.n_params, factors.size))

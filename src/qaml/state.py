@@ -27,9 +27,9 @@ class StateVector:
 
     Construction copies the amplitudes and validates shape, finiteness and
     normalization, so any StateVector in circulation owns its read-only
-    buffer and satisfies the class invariants. Internal producers that hand
-    over a fresh complex128 buffer no one else holds pass `_owned=True`,
-    which skips the copy.
+    buffer and satisfies the class invariants; the caller's array keeps its
+    flags. Internal producers that hand over a fresh complex128 buffer no one
+    else holds pass `_owned=True`, which skips the copy and its peak memory.
     """
 
     n_qubits: int
@@ -145,9 +145,9 @@ def norm_squared(state) -> float:
 
 def probabilities(state) -> np.ndarray:
     """Born-rule probability |a|^2 of each amplitude, index-aligned with them: the
-    package's one |a|^2. Accepts a StateVector or a raw complex array of any shape,
-    such as a transposed batch-last buffer, or a float64 array of real amplitudes
-    (training's real batches), and returns a C-contiguous array."""
+    package's one |a|^2. Accepts a StateVector, a raw complex array of any shape, such
+    as a transposed batch-last buffer, or a float64 array of real amplitudes (see
+    `qaml.hybrid`), and returns a C-contiguous array."""
     if isinstance(state, np.ndarray) and state.dtype == np.float64:
         return np.square(state, order="C")
     amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, dtype=np.complex128)

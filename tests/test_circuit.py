@@ -53,6 +53,11 @@ def amplitude_encoded_example() -> StateVector:
 
 
 class TestCircuitConstruction:
+    def test_lower_case_mnemonic_is_stored_upper_case(self):
+        op = CircuitOp("h", (0,))
+        assert op.gate_name == "H"
+        np.testing.assert_allclose(execute(Circuit(1, (op,))).amplitudes, [SQRT2_INV, SQRT2_INV], atol=1e-15)
+
     def test_rejects_out_of_range_target(self):
         with pytest.raises(TargetOutOfRange):
             Circuit(1, (CircuitOp("H", (1,)),))

@@ -17,6 +17,7 @@ from qaml import (
 )
 from qaml.encoding import _amplitude_qubits, read_feature_rows
 from qaml.errors import (
+    ConfigError,
     DuplicateBasisState,
     EmptyInput,
     InvalidBitstring,
@@ -65,6 +66,10 @@ class TestSuperpositionEncoding:
         assert state.n_qubits == 7
         assert state.amplitudes[int("1001110", 2)] == pytest.approx(w, abs=1e-12)
         assert state.amplitudes[int("0100111", 2)] == pytest.approx(w, abs=1e-12)
+        assert np.count_nonzero(state.amplitudes) == 2
+
+    def test_generator_of_bitstrings(self):
+        state = encode_superposition(bits for bits in ("01", "10"))
         assert np.count_nonzero(state.amplitudes) == 2
 
     def test_singleton(self):
@@ -192,6 +197,13 @@ class TestEncodingSpec:
     def test_defaults(self):
         spec = EncodingSpec("angle")
         assert spec.axis == "Y"
+
+    def test_axis_is_stored_upper_case(self):
+        assert EncodingSpec("angle", "y").axis == "Y"
+
+    def test_angle_encoder_checks_its_axis(self):
+        with pytest.raises(ConfigError, match="rotation axis must be one of"):
+            encode_angle([0.1], "w")
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

@@ -229,6 +229,15 @@ class TestBadValues:
             (lambda: TrainConfig(gradient_method=np.array(["a", "b"])), errors.ConfigError),
             # a gate's matrix does not fit an absurd arity
             (lambda: GateMatrix("H", 20000, np.eye(2)), errors.InvariantError),
+            # one value per parameter slot, wherever parameters enter
+            (lambda: gradient(RY, [0.1, 0.2], LossSpec((ZERO,))), errors.ParamCountMismatch),
+            (lambda: train(RY, [([0.1], 1)], EncodingSpec("angle"), TrainConfig(), initial_params=[0.1, 0.2]),
+             errors.ParamCountMismatch),
+            # a template's register is checked as a circuit's is
+            (lambda: AnsatzTemplate(0, (), 0), errors.InvariantError),
+            (lambda: AnsatzTemplate(25, (), 0), errors.QubitCountExceeded),
+            # the angle encoder checks its axis as EncodingSpec does
+            (lambda: encode_angle([0.1], "w"), errors.ConfigError),
         ],
     )
     def test_raises_its_own_class(self, build, error):
@@ -270,6 +279,14 @@ class TestShots:
         monkeypatch.setattr(circuit_mod, "execute", no_execute)
         with pytest.raises(errors.ConfigError):
             sample(Circuit(1, ()), 0, 1)
+
+    def test_seed_checked_before_the_circuit_runs(self, monkeypatch):
+        def no_execute(circuit):
+            raise AssertionError("the circuit ran before the seed was checked")
+
+        monkeypatch.setattr(circuit_mod, "execute", no_execute)
+        with pytest.raises(errors.ConfigError, match="seed must be in"):
+            sample(Circuit(1, ()), 10, -1)
 
     def test_numpy_integer_shots_accepted(self):
         assert sample(Circuit(1, ()), np.int64(3), 1) == sample(Circuit(1, ()), 3, 1)
@@ -439,6 +456,35 @@ class TestCli:
 
         monkeypatch.setattr(cli, "cmd_run", broken)
         assert_fails(["run", files["program"]], 70, "internal error: RuntimeError('boom")
+
+    def test_bad_seed_env_names_the_value(self, files, monkeypatch):
+        monkeypatch.setenv("QAML_SEED", "abc")
+        assert call(["run", files["program"]]) == (
+            4, "", "config error: QAML_SEED must be an integer, got 'abc'\n"
+        )
+
+    def test_label_only_rows_exit_5(self, files, tmp_path):
+        files["data"] = write(tmp_path / "labels.csv", "1\n-1\n")
+        assert call(self.train_argv(files)) == (5, "", "dataset error: each row needs features plus a label\n")
+
+    def test_report_ends_in_a_newline(self, files):
+        assert call(self.train_argv(files))[0] == 0
+        with open(files["out"], "rb") as handle:
+            assert handle.read().endswith(b"}\n")
+
+    def test_module_entry_point(self, files):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        command = [sys.executable, "-m", "qaml.cli", "run"]
+        result = subprocess.run(
+            command + [files["program"], "--shots", "100", "--seed", "7"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0 and result.stderr == ""
+        histogram = json.loads(result.stdout)
+        assert histogram["shots"] == 100 and set(histogram["counts"]) <= {"00", "11"}
+        result = subprocess.run(command + [files["missing"]], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
     def test_console_entry_point_prints_no_traceback(self, files):
         env = dict(os.environ, PYTHONPATH=SRC)

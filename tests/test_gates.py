@@ -54,6 +54,10 @@ class TestFixedGateMatrices:
         assert np.array_equal(gate_y().matrix, [[0, -1j], [1j, 0]])
         assert np.array_equal(gate_z().matrix, [[1, 0], [0, -1]])
 
+    def test_shared_constants_are_read_only(self):
+        for name, matrix in gates.FIXED_MATRICES.items():
+            assert not matrix.flags.writeable, name
+
     def test_single_qubit_transformation_equations(self, rng):
         # equation-column oracle: closed-form output amplitudes per gate
         for _ in range(1000):
@@ -133,6 +137,9 @@ class TestOpRule:
             self.BUILDERS[builder](name, angle)
         assert isinstance(info.value, SimulationError)
 
+    def test_targets_may_come_from_a_generator(self):
+        assert CircuitOp("CX", (q for q in (1, 0))).targets == (1, 0)
+
     @pytest.mark.parametrize("angle", [0.3, np.float64(0.3), np.float32(0.25), 2, np.int64(-2)])
     def test_real_angles_are_stored_as_floats(self, angle):
         for built in (gate_from_name("RY", angle), CircuitOp("RY", (0,), angle)):
@@ -185,9 +192,16 @@ class TestGateMatrixChecks:
         gate, from_view = GateMatrix("U", 1, base), GateMatrix("U", 1, base[:])
         base[0, 0] = 7
         assert gate.matrix[0, 0] == from_view.matrix[0, 0] == 1
-        assert not gate.matrix.flags.writeable
-        # the library hands its own matrices over: the shared CX stays shared
-        assert gate_cx().matrix is gates.FIXED_MATRICES["CX"]
+        assert not gate.matrix.flags.writeable and base.flags.writeable
+        assert not np.shares_memory(gate.matrix, base) and not np.shares_memory(from_view.matrix, base)
+        # a read-only caller's array stays read-only, and no gate shares a library constant
+        frozen = np.eye(2, dtype=np.complex128)
+        frozen.setflags(write=False)
+        assert not np.shares_memory(GateMatrix("U", 1, frozen).matrix, frozen)
+        assert not frozen.flags.writeable
+        for name, constant in gates.FIXED_MATRICES.items():
+            built = gate_from_name(name).matrix
+            assert np.array_equal(built, constant) and not np.shares_memory(built, constant)
 
     def test_unknown_rotation_axis(self):
         with pytest.raises(UnknownGate, match="unknown rotation 'RW'"):
@@ -280,24 +294,37 @@ def signed_zero_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
 
 
 class TestApplyGateKernelPaths:
-    """`apply_gate` drives the one kernel: it picks CX's slice copies by the shared
-    matrix's identity, and a staged product comes back in qubit order."""
+    """`apply_gate` drives the one kernel: it picks CX's slice copies by the matrix's
+    value, and a staged product comes back in qubit order."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_user_built_cx_is_staged_with_the_shared_cx_bits(self, n, rng, kernel_paths):
         user_cx = GateMatrix("CX", 2, gate_cx().matrix.copy())
-        # below 4 qubits the copies would leave BLAS remainder columns, so CX stages too
-        shared_path = "cx" if (1 << n >> 2) % 4 == 0 else "staged"
+        # below 4 qubits the copies would leave BLAS remainder columns, so CX stages
+        path = "cx" if (1 << n >> 2) % 4 == 0 else "staged"
+        order = tuple(range(n + 1))
         for _ in range(20):
             state = signed_zero_state(n, rng)
             targets = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
             kernel_paths.clear()
             shared = apply_gate(state, gate_cx(), targets)
             user = apply_gate(state, user_cx, targets)
-            assert kernel_paths == [(shared_path, True), ("staged", True)]
+            assert kernel_paths == [(path, True), (path, True)]
             np.testing.assert_array_equal(
                 shared.amplitudes.view(np.uint64), user.amplitudes.view(np.uint64)
             )
+            # the slice copies keep the bits of the staged zgemm
+            results = []
+            for is_cx in (True, False):
+                src = state.amplitudes.reshape(-1, 1).copy()
+                out = np.empty_like(src)
+                step, into_out, after = gates._bind(src, out, order, targets, is_cx)
+                step(user_cx.matrix)
+                product, spare = (out, src) if into_out else (src, out)
+                np.copyto(*gates._relabel(product, spare, after, order))
+                results.append(spare.view(np.uint64))
+            np.testing.assert_array_equal(*results)
+            np.testing.assert_array_equal(results[0].reshape(-1), user.amplitudes.view(np.uint64))
 
     # the last two qubits leave fewer than 4 columns per block, so they stage
     @pytest.mark.parametrize("n, target", [(n, q) for n in range(1, 9) for q in range(max(n - 2, 0), n)])

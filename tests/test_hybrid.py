@@ -621,6 +621,12 @@ class TestLossSpecQubitCount:
         with pytest.raises(TargetOutOfRange, match="qubit index must be an integer, got 0.5"):
             self.CALLS[call](loss)
 
+    def test_stores_inputs_and_labels_as_tuples(self):
+        state = make_basis_state(1, "0")
+        loss = LossSpec([state], [1])
+        assert loss.inputs == (state,) and loss.labels == (1.0,)
+        assert type(loss.labels[0]) is float
+
     def test_label_count_mismatch(self):
         with pytest.raises(ParamCountMismatch, match="one label per input state required"):
             LossSpec((make_basis_state(1, "0"),), (1.0, -1.0))
@@ -834,6 +840,11 @@ class TestTrain:
         )
         assert len(set(report.loss_trace)) == 1
         assert report.final_params == (0.3,)
+
+    def test_stops_once_the_loss_stops_moving(self):
+        config = TrainConfig(learning_rate=0.0, convergence_tol=1e-9, max_iterations=10)
+        report = train(RY_TEMPLATE, self.single_sample_task(), EncodingSpec("angle"), config)
+        assert report.iterations_run == 2 and report.converged is True
 
     def test_two_sample_separable_task(self):
         data = [([0.0], 1), ([math.pi], -1)]
