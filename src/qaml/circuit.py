@@ -107,15 +107,17 @@ class Histogram:
 def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
     """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed) and
     `scratch` (fresh if None), following the axis order staged gates leave; the result,
-    relabeled to qubit order, is one of the two. `plans` (fresh if None) holds one bound
-    step per (targets, CX by op name, buffer, axis order) of this (src, scratch) pair; an
-    owner of both buffers keeps it, so later calls bind no step, and it stays valid while
-    both buffers live. One matrix per op object whose angle is its own (by identity,
-    so a bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call; on a float64
-    `src` (see `qaml.hybrid`) it is a contiguous copy of its real part."""
+    relabeled to qubit order, is one of the two. `plans` (fresh if None) holds one bound step
+    per (targets, CX by op name, ids of the source and output buffers, axis order), so
+    one table serves every pair of its owner's buffers, in either order: a step holds views
+    of both buffers' memory, so a buffer that owns it (not a view) keeps its id while the
+    table lives. One matrix per op object whose angle is its own (by identity, so a bound or
+    `-0.0` angle never gets a `0.0` op's matrix) serves the call; on a float64 `src` (see
+    `qaml.hybrid`) it is a contiguous copy of its real part."""
     scratch = np.empty_like(src) if scratch is None else scratch
     buffers, current, order = (src, scratch), 0, tuple(range(src.shape[0].bit_length()))
     plans, matrices, real = {} if plans is None else plans, {}, src.dtype == np.float64
+    ids = (id(src), id(scratch)), (id(scratch), id(src))  # (source, output) by `current`
     for index, (op, angle) in enumerate(zip(ops, angles)):
         if angle is not op.angle or (matrix := matrices.get(id(op))) is None:
             try:
@@ -127,12 +129,12 @@ def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
             matrix = np.ascontiguousarray(matrix.real) if real else matrix
             if angle is op.angle:
                 matrices[id(op)] = matrix
-        key = (op.targets, op.gate_name == "CX", current, order)
+        key = (op.targets, op.gate_name == "CX", ids[current], order)
         if (plan := plans.get(key)) is None:
-            step, into_out, after = gates._bind(buffers[current], buffers[1 - current], order, *key[:2])
-            plan = plans[key] = (step, current ^ into_out, after)
-        step, current, order = plan
+            plan = plans[key] = gates._bind(buffers[current], buffers[1 - current], order, *key[:2])
+        step, into_out, order = plan
         step(matrix)
+        current ^= into_out
     if order != tuple(sorted(order)):
         np.copyto(*gates._relabel(buffers[current], buffers[1 - current], order, sorted(order)))
         current ^= 1

@@ -24,7 +24,7 @@ from .errors import (
     TargetOutOfRange,
     UnknownGate,
 )
-from .state import StateVector, _integer, _real
+from .state import StateVector, _complexes, _integer, _real
 
 UNITARITY_ATOL = 1e-12
 
@@ -49,7 +49,7 @@ class GateMatrix:
     angle: float | None = None
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
+        mat = _complexes(self.matrix, f"gate {self.name}: matrix", InvariantError, copy=True)
         object.__setattr__(self, "arity", _integer(self.arity, "arity", InvariantError))
         if self.arity < 1:
             raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")

@@ -181,7 +181,7 @@ class _Objective:
     The encoded states are stacked once, as the columns of a C-contiguous
     `(2**n, batch)` buffer, next to the readout's Z signs and the labels. Every ansatz
     pass copies its input into one of three owned buffers of that shape and runs there,
-    with its bound steps kept per ordered (src, scratch) pair, so after the first
+    with one plan table for all three (see `circuit._run`), so after the first
     iteration no pass allocates such a buffer or binds a step. Its settings come from
     one `TrainConfig`; with `shots` > 0 readouts draw from `_rng(seed)`, keyed here."""
 
@@ -203,17 +203,12 @@ class _Objective:
         self.config = config = TrainConfig() if config is None else config
         self.rng = _rng(config.seed) if config.shots > 0 else None
 
-    def _pass(self, src: int, scratch: int, ops, angles) -> int:
-        """Run `ops` in owned buffers `src` and `scratch`; the one holding the result."""
-        buffers, plans = self._buffers, self._plans.setdefault((src, scratch), {})
-        out = _run(buffers[src], ops, angles, buffers[scratch], plans)
-        return src if out is buffers[src] else scratch
-
     def probs(self, angles: list) -> np.ndarray:
         """Outcome probabilities after the ansatz, one row per sample."""
-        np.copyto(self._buffers[0], self.tensor)
+        src, scratch = self._buffers[:2]
+        np.copyto(src, self.tensor)
         # one C-contiguous row per sample: the row layout fixes `_readout`'s summation order
-        return probabilities(self._buffers[self._pass(0, 1, self.template.ops, angles)].T)
+        return probabilities(_run(src, self.template.ops, angles, scratch, self._plans).T)
 
     def loss(self, probs: np.ndarray) -> tuple[float, np.ndarray]:
         """The loss read out from `probs`, and its derivative with respect to
@@ -229,23 +224,24 @@ class _Objective:
         """Parameter-shift gradient at the bound `angles`, given the loss
         `factors` of the unshifted pass: a +pi/2 and a -pi/2 readout per
         parameterized op k, in template order (+ then -), the order seeded shot
-        runs draw in. A running prefix in one owned buffer is advanced to op k, and
-        each shifted pass reruns only ops k.. on a copy of it in a second, with
-        the third as scratch: kernel bits depend only on buffer shape, targets
-        and axis order, so the gradient is that of full passes."""
-        ops, buffers = self.template.ops, self._buffers
+        runs draw in. A running `prefix` is advanced to op k (swapping names with
+        `work` when it ends there), and each shifted pass reruns only ops k.. on a
+        copy of it in `work`, with `scratch`: kernel bits depend only on buffer
+        shape, targets and axis order, so the gradient is that of full passes."""
+        ops, plans, done = self.template.ops, self._plans, 0
+        prefix, work, scratch = self._buffers
         d_exps = np.zeros((self.template.n_params, factors.size))
-        np.copyto(buffers[0], self.tensor)
-        prefix, done = 0, 0
+        np.copyto(prefix, self.tensor)
         for k, op in enumerate(ops):
             if op.param is None:
                 continue
-            prefix, done = self._pass(prefix, (prefix + 1) % 3, ops[done:k], angles[done:k]), k
-            work, scratch = (prefix + 1) % 3, (prefix + 2) % 3
+            if _run(prefix, ops[done:k], angles[done:k], work, plans) is work:
+                prefix, work = work, prefix
+            done = k
             for delta, sign in ((SHIFT, 0.5), (-SHIFT, -0.5)):
                 shifted = [angles[k] + delta, *angles[k + 1 :]]
-                np.copyto(buffers[work], buffers[prefix])
-                probs = probabilities(buffers[self._pass(work, scratch, ops[k:], shifted)].T)
+                np.copyto(work, prefix)
+                probs = probabilities(_run(work, ops[k:], shifted, scratch, plans).T)
                 d_exps[op.param] += sign * _readout(probs, self.signs, self.config.shots, self.rng)
         return d_exps @ factors
 

@@ -237,10 +237,10 @@ PLAN_OPS = (CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1)), CircuitOp("H", 
 
 
 class TestOpPlan:
-    """`_run` binds one kernel step per (targets, CX, buffer, axis order),
-    leaves a staged product in its staged axis order until the end of the
-    call, and builds one matrix per op object, within one call; none of it
-    may change a bit."""
+    """`_run` binds one kernel step per (targets, CX, source buffer, output
+    buffer, axis order) in a plan table that may serve many calls, leaves a
+    staged product in its staged axis order until the end of the call, and
+    builds one matrix per op object within one call; none of it may change a bit."""
 
     @pytest.mark.parametrize(
         "ops",
@@ -309,6 +309,20 @@ class TestOpPlan:
         execute(Circuit(20, tuple(wide_ops(20))))
         assert len(kernel_paths) == 87
         assert [path for path, _ in kernel_paths].count("staged") == 6
+
+    def test_one_plan_table_serves_any_pair_of_its_buffers_in_either_order(self, rng):
+        # on 3 qubits with 4 columns the three ops run as matmul, copy and matmul
+        # steps; a step kept for (a, b) must not run when the table is used on (c, d),
+        # nor on (b, a)
+        ops = (CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1)), CircuitOp("H", (2,)))
+        angles = [op.angle for op in ops]
+        a, b, c, d = (np.zeros((8, 4), dtype=np.complex128) for _ in range(4))
+        plans = {}
+        for src, scratch in ((a, b), (c, d), (b, a)):
+            batch = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+            np.copyto(src, batch)
+            out = _run(src, ops, angles, scratch, plans)
+            np.testing.assert_array_equal(bits(out), bits(_run(batch, ops, angles)))
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_infinite_bound_angle_after_cached_ops_names_its_op(self, k, rng):

@@ -39,6 +39,8 @@ from qaml import (
     gradient,
     loss_value,
     make_basis_state,
+    norm_squared,
+    probabilities,
     sample,
     sample_state,
     train,
@@ -238,6 +240,16 @@ class TestBadValues:
             (lambda: AnsatzTemplate(25, (), 0), errors.QubitCountExceeded),
             # the angle encoder checks its axis as EncodingSpec does
             (lambda: encode_angle([0.1], "w"), errors.ConfigError),
+            # amplitudes and gate matrices are numbers: not text, bools, dicts or None
+            (lambda: StateVector(1, ["1", "0"]), errors.InvariantError),
+            (lambda: StateVector(1, [True, False]), errors.InvariantError),
+            (lambda: GateMatrix("U", 1, [["1", "0"], ["0", "1"]]), errors.InvariantError),
+            (lambda: StateVector(1, "ab"), errors.InvariantError),
+            (lambda: GateMatrix("U", 1, [[1, 0], [0, "x"]]), errors.InvariantError),
+            (lambda: norm_squared("ab"), errors.InvariantError),
+            (lambda: StateVector(1, {"a": 1}), errors.InvariantError),
+            (lambda: norm_squared(None), errors.InvariantError),
+            (lambda: probabilities(None), errors.InvariantError),
         ],
     )
     def test_raises_its_own_class(self, build, error):
