@@ -98,7 +98,7 @@ class Histogram:
             raise InvariantError("histogram counts must sum to shots")
 
     def _payload(self) -> dict:
-        return {"shots": self.shots, "counts": dict(self.counts)}
+        return {"shots": self.shots, "counts": self.counts.copy()}
 
     def to_json(self) -> str:
         return json.dumps(self._payload(), sort_keys=True)
@@ -107,19 +107,28 @@ class Histogram:
 def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
     """The one op loop: apply `ops` at `angles` to the batch-last buffer `src` (consumed) and
     `scratch` (fresh if None), following the axis order staged gates leave; the result,
-    relabeled to qubit order, is one of the two. `plans` (fresh if None) holds one bound step
-    per (targets, CX by op name, ids of the source and output buffers, axis order), so
-    one table serves every pair of its owner's buffers, in either order: a step holds views
-    of both buffers' memory, so a buffer that owns it (not a view) keeps its id while the
-    table lives. One matrix per op object whose angle is its own (by identity, so a bound or
-    `-0.0` angle never gets a `0.0` op's matrix) serves the call; on a float64 `src` (see
-    `qaml.hybrid`) it is a contiguous copy of its real part."""
+    relabeled to qubit order, is one of the two; a maximal run of CX ops is one step where
+    `gates._bind`'s run rule allows. `plans` (fresh if None) holds one bound step per
+    (targets, CX by op name, ids of the source and output buffers, axis order, whether a run
+    ends `ops`), so one table serves every pair of its owner's buffers, in either order: a
+    step holds views of both buffers' memory, so a buffer that owns it (not a view) keeps
+    its id while the table lives. One matrix per op object whose angle is its own (by
+    identity, so a bound or `-0.0` angle never gets a `0.0` op's matrix) serves the call; on
+    a float64 `src` (see `qaml.hybrid`) it is a contiguous copy of its real part."""
     scratch = np.empty_like(src) if scratch is None else scratch
     buffers, current, order = (src, scratch), 0, tuple(range(src.shape[0].bit_length()))
     plans, matrices, real = {} if plans is None else plans, {}, src.dtype == np.float64
     ids = (id(src), id(scratch)), (id(scratch), id(src))  # (source, output) by `current`
+    stop, matrix = 0, None  # a CX run's step takes no matrix
     for index, (op, angle) in enumerate(zip(ops, angles)):
-        if angle is not op.angle or (matrix := matrices.get(id(op))) is None:
+        if index < stop:
+            continue
+        targets, stop, last = op.targets, index + 1, False
+        if op.gate_name == "CX" and gates._layout(*src.shape, order, targets, True)[0] == "cx":
+            while stop < len(ops) and ops[stop].gate_name == "CX":
+                stop += 1
+            targets, last = tuple(q for cx in ops[index:stop] for q in cx.targets), stop == len(ops)
+        elif angle is not op.angle or (matrix := matrices.get(id(op))) is None:
             try:
                 matrix = gates.op_matrix(op.gate_name, angle)
             except QamlError as exc:
@@ -129,9 +138,9 @@ def _run(src: np.ndarray, ops, angles, scratch=None, plans=None) -> np.ndarray:
             matrix = np.ascontiguousarray(matrix.real) if real else matrix
             if angle is op.angle:
                 matrices[id(op)] = matrix
-        key = (op.targets, op.gate_name == "CX", ids[current], order)
+        key = (targets, op.gate_name == "CX", ids[current], order, last)
         if (plan := plans.get(key)) is None:
-            plan = plans[key] = gates._bind(buffers[current], buffers[1 - current], order, *key[:2])
+            plan = plans[key] = gates._bind(buffers[current], buffers[1 - current], order, *key[:2], last)
         step, into_out, order = plan
         step(matrix)
         current ^= into_out

@@ -186,31 +186,30 @@ def _check_targets(targets, arity: int, n_qubits: int | None = None) -> tuple[in
 # costs about as much as staging 50 amplitudes (measured at n = 10 to 20).
 MATMUL_MIN_COLS = 32
 MATMUL_MAX_BLOCKS = 32
+GATHER_BITS = 13  # a CX run gathers 2^max(ceil(n/2), 13) rows per `take`; 2^12 was 10-20 % slower
 
 
 @functools.lru_cache(maxsize=1024)
-def _layout(dim: int, batch: int, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool) -> tuple:
+def _layout(dim: int, batch: int, order: tuple, targets: tuple, is_cx: bool, last: bool = False) -> tuple:
     """How the kernel runs a gate on `targets` of a `(dim, batch)` buffer whose axes
     (qubits, then the batch as axis n) lie in `order`, worked out once per key: `(path,
-    shape, slices, order after)` for `"matmul"`, `"cx"` (with (source, destination) slice
-    pairs) or `"staged"` (zgemm rows; target axes first, the batch, then the rest)."""
+    shape, columns, order after)` for `"matmul"`, `"cx"` (row y gathers row XOR of `columns[b]`
+    over y's set bits b; qubit order after if `last`) or `"staged"` (zgemm rows; target axes
+    first, the batch, then the rest)."""
     sizes = tuple(batch if axis == len(order) - 1 else 2 for axis in order)
-    where = tuple(order.index(target) for target in targets)
     if len(targets) == 1:
-        blocks, cols = math.prod(sizes[: where[0]]), math.prod(sizes[where[0] + 1 :])
+        where = order.index(targets[0])
+        blocks, cols = math.prod(sizes[:where]), math.prod(sizes[where + 1 :])
         if cols % 4 == 0 and (cols >= MATMUL_MIN_COLS or blocks <= MATMUL_MAX_BLOCKS):
             return "matmul", (blocks, 2, cols), None, order
-    elif is_cx and (dim >> 2) * batch % 4 == 0:
-        lo, hi = sorted(where)
-        shape = (math.prod(sizes[:lo]), 2, math.prod(sizes[lo + 1 : hi]), 2, math.prod(sizes[hi + 1 :]))
-        c_axis, t_axis = (1, 3) if where[0] < where[1] else (3, 1)
-
-        def at(c_bit, t_bit=slice(None)):
-            index = [slice(None)] * 5
-            index[c_axis], index[t_axis] = c_bit, t_bit
-            return tuple(index)
-
-        return "cx", shape, ((at(0), at(0)), (at(1, 1), at(1, 0)), (at(1, 0), at(1, 1))), order
+    elif is_cx and (dim >> 2) * batch % 4 == 0 and (batch == 1 or order[-1] == len(order) - 1):
+        n, after = len(order) - 1, tuple(sorted(order)) if last else order
+        # a qubit's row bit in `src`, and the output row bits whose parity is its source value
+        source, rows = ({q: 1 << n - 1 - i for i, q in enumerate(a for a in axes if a < n)}
+                        for axes in (order, after))
+        for control, target in reversed(list(zip(targets[::2], targets[1::2]))):
+            rows[target] ^= rows[control]
+        return "cx", None, tuple(sum(source[q] for q in rows if rows[q] >> b & 1) for b in range(n)), after
     front = (*targets, len(order) - 1)
     return "staged", (1 << len(targets), -1), None, (*front, *(axis for axis in order if axis not in front))
 
@@ -222,13 +221,13 @@ def _relabel(src: np.ndarray, out: np.ndarray, order, new_order) -> tuple:
     return out.reshape(source.shape), source
 
 
-def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tuple[int, ...], is_cx: bool):
+def _bind(src: np.ndarray, out: np.ndarray, order: tuple, targets: tuple, is_cx: bool, last: bool = False):
     """The kernel for distinct C-contiguous `(2**n, batch)` buffers `src`, its axes in
     `order`, and `out`, of one dtype, its path and views built once: `(step, into_out,
     order after)`. `step(matrix)` makes only its numpy calls and leaves the product in
     `out`, or for a staged gate in `src`, with its axes in the order after, which the
     caller tracks until `_relabel` moves them back. A step is valid while both buffers
-    live. Targets are not checked here (control first for CX).
+    live. Targets are not checked here (control first for CX, or with `is_cx` the flat pairs of a run).
 
     Results are bit-identical to the contraction this kernel replaced, the oracle of
     `tests/test_kernel_oracle.py`: one zgemm of the gate with the state staged as
@@ -236,27 +235,34 @@ def _bind(src: np.ndarray, out: np.ndarray, order: tuple[int, ...], targets: tup
     path does the same zgemm arithmetic per column, and a column's bits depend only on
     whether BLAS treats it as a remainder column (the last N mod 4), whatever the axis
     order. A one-qubit gate is one zgemm per block of the `(blocks, 2, cols)` view
-    around its axis when no block has remainder columns; CX is a permutation when the
-    staged product has none; everything else is relabeled into the contraction's order
-    (N mod 4 > 0 leaves at most one other qubit). There is no elementwise pair-update or
-    phase-multiply path: numpy's complex arithmetic does not fuse multiply-adds as
-    OpenBLAS zgemm does, so it would move the last bits.
+    around its axis when no block has remainder columns; everything else is relabeled
+    into the contraction's order (N mod 4 > 0 leaves at most one other qubit). There is
+    no elementwise pair-update or phase-multiply path: numpy's complex arithmetic does
+    not fuse multiply-adds as OpenBLAS zgemm does, so it would move the last bits.
+
+    The run rule: a CX zgemm without remainder columns permutes rows and turns -0.0 into
+    +0.0, so where a run's CXs have none and the batch is last or 1 wide, the run is one
+    GF(2)-linear row gather and one 0-d zero add, every bit kept (else each CX stages). Its
+    `np.take(mode="clip")` is unbuffered, its index XORed per chunk from two half tables.
 
     Float64 buffers take a C-contiguous real matrix, so each zgemm above is a dgemm, or
     a dgemv for a one-column staged product (`qaml.hybrid` says when its bits match)."""
-    path, shape, slices, after = _layout(*src.shape, order, targets, is_cx)
+    path, shape, columns, after = _layout(*src.shape, order, targets, is_cx, last)
     if path == "matmul":
         src, out = src.reshape(shape), out.reshape(shape)
         return (lambda matrix: np.matmul(matrix, src, out=out)), True, after
     if path == "cx":
-        pairs = [(src.reshape(shape)[s], out.reshape(shape)[d]) for s, d in slices]
-        # a 0-d zero of the buffer's dtype spares `np.add` a conversion per call
-        zero = np.zeros((), src.dtype)
+        low = min(len(columns), max((len(columns) + 1) // 2, GATHER_BITS))
+        # entry i of each half table is the XOR of the columns of i's set bits: O(2^(n/2)) entries
+        lows, highs = (functools.reduce(lambda t, c: np.concatenate((t, t ^ c)), half, np.zeros(1, np.intp))
+                       for half in (columns[:low], columns[low:]))
+        chunk, blocks = np.empty_like(lows), list(out.reshape(highs.size, lows.size, -1))
+        take, zero = src.take, np.zeros((), src.dtype)  # a 0-d zero spares `np.add` a conversion
 
         def step(matrix):
-            # adding zero turns -0.0 into +0.0, as the permutation matrix's zgemm does
-            for source, destination in pairs:
-                np.add(source, zero, out=destination)
+            for high, block in zip(highs, blocks):
+                take(np.bitwise_xor(lows, high, out=chunk) if high else lows, 0, block, "clip")
+                np.add(block, zero, out=block)  # -0.0 to +0.0, as each CX's zgemm does
 
         return step, True, after
     staged, stage_from = _relabel(src, out, order, after)

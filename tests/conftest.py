@@ -46,9 +46,9 @@ def kernel_paths(monkeypatch):
     buffer's axes were in qubit order)."""
     paths, bind = [], gates._bind
 
-    def recording_bind(src, out, order, targets, is_cx):
-        step, into_out, after = bind(src, out, order, targets, is_cx)
-        entry = (gates._layout(*src.shape, order, targets, is_cx)[0], order == tuple(sorted(order)))
+    def recording_bind(src, out, order, targets, is_cx, last=False):
+        step, into_out, after = bind(src, out, order, targets, is_cx, last)
+        entry = (gates._layout(*src.shape, order, targets, is_cx, last)[0], order == tuple(sorted(order)))
 
         def recorded(matrix):
             paths.append(entry)

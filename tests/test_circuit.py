@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from conftest import dense_execute, draw_indices, random_state, wide_ops
+from test_kernel_oracle import oracle_ansatz, oracle_execute
 from qaml import (
     AnsatzOp,
     AnsatzTemplate,
@@ -15,6 +17,7 @@ from qaml import (
     StateVector,
     dsl,
     execute,
+    gates,
     make_basis_state,
     measure_once,
     probabilities,
@@ -232,7 +235,7 @@ def apply_chain(state: StateVector, ops, angles) -> StateVector:
 
 
 # On 4 qubits with one column, RY on qubit 0 takes the matmul path, CX (0, 1)
-# the copy path and H on qubit 3 the staged path.
+# the gather path and H on qubit 3 the staged path.
 PLAN_OPS = (CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1)), CircuitOp("H", (3,)))
 
 
@@ -305,13 +308,15 @@ class TestOpPlan:
     def test_staged_products_keep_their_axis_order_on_the_wide_program(self, kernel_paths):
         # wide20's 87 ops on 20 qubits: a staged product is left in its staged
         # layout, so later gates on its qubits run as a matmul and only 6 ops
-        # stage; copying each staged product back to qubit order stages 19
+        # stage (copying each staged product back to qubit order stages 19); its
+        # 25 CXs run as 2 steps, layer 1's 3 and then layer 2's 3 with the chain
         execute(Circuit(20, tuple(wide_ops(20))))
-        assert len(kernel_paths) == 87
-        assert [path for path, _ in kernel_paths].count("staged") == 6
+        assert len(kernel_paths) == 64
+        paths = [path for path, _ in kernel_paths]
+        assert paths.count("staged") == 6 and paths.count("cx") == 2
 
     def test_one_plan_table_serves_any_pair_of_its_buffers_in_either_order(self, rng):
-        # on 3 qubits with 4 columns the three ops run as matmul, copy and matmul
+        # on 3 qubits with 4 columns the three ops run as matmul, gather and matmul
         # steps; a step kept for (a, b) must not run when the table is used on (c, d),
         # nor on (b, a)
         ops = (CircuitOp("RY", (0,), 0.3), CircuitOp("CX", (0, 1)), CircuitOp("H", (2,)))
@@ -335,6 +340,114 @@ class TestOpPlan:
             objective.probs(angles)
         assert info.value.op_index == k
         assert str(info.value).startswith(f"op {k} (RY): ")
+
+
+def one_step_per_op(buf: np.ndarray, ops) -> np.ndarray:
+    """`ops` on `buf` (consumed) one kernel step each, back in qubit order after each:
+    a CX is its staged zgemm (a dgemm on float64), whatever its neighbours."""
+    order = tuple(range(buf.shape[0].bit_length()))
+    for op in ops:
+        matrix = gates.op_matrix(op.gate_name, op.angle)
+        matrix = np.ascontiguousarray(matrix.real) if buf.dtype == np.float64 else matrix
+        out = np.empty_like(buf)
+        step, into_out, after = gates._bind(buf, out, order, op.targets, False)
+        step(matrix)
+        product, buf = (out, buf) if into_out else (buf, out)
+        np.copyto(*gates._relabel(product, buf, after, order))
+    return buf
+
+
+def signed_zero_columns(n: int, batch: int, dtype, rng: np.random.Generator) -> np.ndarray:
+    """A `(2**n, batch)` buffer of unit columns with about a fifth of its parts `-0.0`."""
+    parts = rng.normal(size=(1 << n, batch, 2 if dtype == np.complex128 else 1))
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    buf = parts.view(np.complex128)[..., 0] if dtype == np.complex128 else parts[..., 0]
+    return np.ascontiguousarray(buf / np.linalg.norm(buf, axis=0))
+
+
+def cx_runs() -> list[list[tuple[int, int]]]:
+    """Runs of 1 to 12 CX ops on 5 qubits: lone, repeated, reversed, cancelling and
+    swapping pairs, a chain there and back, then seeded random runs of each length."""
+    rng = np.random.default_rng(31)
+    runs = [[(0, 1)], [(4, 3)], [(0, 1), (0, 1)], [(2, 3)] * 3, [(0, 1), (1, 0)], [(0, 1), (1, 0), (0, 1)]]
+    runs.append([(q, q + 1) for q in range(4)] + [(q + 1, q) for q in reversed(range(4))])
+    for k in range(1, 13):
+        runs.append([tuple(int(q) for q in rng.choice(5, size=2, replace=False)) for _ in range(k)])
+    return runs
+
+
+class TestCxRuns:
+    """`_run` applies each maximal run of CX ops as one row gather and one zero add where
+    `gates._bind`'s run rule allows, and each CX as its own staged step elsewhere; the bits
+    are those of one step per op, of `apply_gate` per op and of the tensordot oracle."""
+
+    # on 5 qubits RY on qubits 0-2 runs as a matmul; RY on qubits 3 and 4 stages a
+    # one-column buffer, so a run after it gathers from axes out of qubit order
+    PREFIXES = {"in_order": range(3), "staged": range(5)}
+
+    @pytest.mark.parametrize("position", ["last", "middle"])
+    @pytest.mark.parametrize("prefix", ["in_order", "staged"])
+    @pytest.mark.parametrize("batch", [1, 4, 8])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_a_run_keeps_the_bits_of_one_step_per_op(self, dtype, batch, prefix, position, kernel_paths):
+        rng = np.random.default_rng([batch, len(prefix), len(position)])
+        head = [CircuitOp("RY", (q,), 0.4 + 0.3 * q) for q in self.PREFIXES[prefix]]
+        tail = [] if position == "last" else [CircuitOp("H", (0,))]
+        for run in cx_runs():
+            ops = tuple(head + [CircuitOp("CX", pair) for pair in run] + tail)
+            buf = signed_zero_columns(5, batch, dtype, rng)
+            kernel_paths.clear()
+            out = _run(buf.copy(), ops, [op.angle for op in ops])
+            # the one gather starts from qubit order unless a one-column prefix staged
+            assert [path for path, _ in kernel_paths].count("cx") == 1
+            assert ("cx", prefix == "in_order" or batch > 1) in kernel_paths
+            np.testing.assert_array_equal(bits(out), bits(one_step_per_op(buf.copy(), ops)))
+            if dtype == np.complex128:
+                np.testing.assert_array_equal(bits(out.T), bits(oracle_ansatz(buf.T, ops)))
+            if dtype == np.complex128 and batch == 1:
+                chained = apply_chain(StateVector(5, buf[:, 0]), ops, [op.angle for op in ops])
+                np.testing.assert_array_equal(bits(out[:, 0]), bits(chained.amplitudes))
+                circuit = Circuit(5, ops)
+                np.testing.assert_array_equal(bits(execute(circuit).amplitudes), bits(oracle_execute(circuit)))
+
+    @pytest.mark.parametrize(
+        "n, batch, head",
+        [(3, 1, 0), (3, 3, 0), (3, 5, 0), (8, 4, 1), (8, 8, 1)],
+        ids=["remainder_1", "remainder_3", "remainder_5", "batch_4_not_last", "batch_8_not_last"],
+    )
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_each_cx_stages_where_a_run_cannot_gather(self, dtype, n, batch, head, kernel_paths):
+        # a CX whose staged product has BLAS remainder columns, or a batch wider than 1
+        # that a staged RY on the last qubit moved off the last axis, takes the staged step
+        rng = np.random.default_rng([n, batch])
+        ops = (CircuitOp("RY", (n - 1,), 0.8),)[:head] + tuple(
+            CircuitOp("CX", pair) for pair in ((0, 1), (1, 2), (2, 0), (0, 1))
+        )
+        buf = signed_zero_columns(n, batch, dtype, rng)
+        out = _run(buf.copy(), ops, [op.angle for op in ops])
+        assert [path for path, _ in kernel_paths] == ["staged"] * len(ops)
+        np.testing.assert_array_equal(bits(out), bits(one_step_per_op(buf.copy(), ops)))
+        if dtype == np.complex128:
+            np.testing.assert_array_equal(bits(out.T), bits(oracle_ansatz(buf.T, ops)))
+
+    def test_a_run_step_allocates_under_a_quarter_of_its_buffer(self):
+        # the gather writes `out` unbuffered from an index of O(2**(n/2)) entries: a
+        # buffered `np.take` or a full 2**16 index would allocate half the buffer or more
+        src = signed_zero_columns(16, 1, np.complex128, np.random.default_rng(5))
+        out = np.empty_like(src)
+        chain = tuple(q for c in range(15) for q in (c, c + 1))
+        tracemalloc.start()
+        try:
+            step, into_out, _ = gates._bind(src, out, tuple(range(17)), chain, True)
+            step(None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert into_out and peak < src.nbytes // 4
+        expected = src.copy()
+        for c in range(15):
+            expected = one_step_per_op(expected, [CircuitOp("CX", (c, c + 1))])
+        np.testing.assert_array_equal(bits(out), bits(expected))
 
 
 class TestMeasureOnce:
@@ -465,6 +578,15 @@ class TestHistogram:
         with pytest.raises(TypeError):
             histogram.counts["1"] = 5
         assert histogram.to_json() == '{"counts": {"0": 2}, "shots": 2}'
+
+    def test_a_large_histogram_is_written_as_its_plain_dict(self):
+        counts = {format(i, "017b"): 1 + i % 3 for i in range(100_000)}
+        histogram = Histogram(sum(counts.values()), counts)
+        assert histogram.to_json() == json.dumps({"shots": histogram.shots, "counts": counts}, sort_keys=True)
+        payload = histogram._payload()
+        payload["counts"]["0" * 17] += 5
+        payload["counts"]["extra"] = 1
+        assert dict(histogram.counts) == counts
 
     def test_json_keys_sorted(self):
         payload = Histogram(3, {"10": 1, "01": 2}).to_json()

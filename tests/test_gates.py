@@ -294,7 +294,7 @@ def signed_zero_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
 
 
 class TestApplyGateKernelPaths:
-    """`apply_gate` drives the one kernel: it picks CX's slice copies by the matrix's
+    """`apply_gate` drives the one kernel: it picks CX's row gather by the matrix's
     value, and a staged product comes back in qubit order."""
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -313,7 +313,7 @@ class TestApplyGateKernelPaths:
             np.testing.assert_array_equal(
                 shared.amplitudes.view(np.uint64), user.amplitudes.view(np.uint64)
             )
-            # the slice copies keep the bits of the staged zgemm
+            # the row gather keeps the bits of the staged zgemm
             results = []
             for is_cx in (True, False):
                 src = state.amplitudes.reshape(-1, 1).copy()
