@@ -157,7 +157,7 @@ def execute(circuit: Circuit) -> StateVector:
     src[0] = 1.0
     # rebinding `src` frees the scratch buffer before the state is validated
     src = _run(src, circuit.ops, [op.angle for op in circuit.ops])
-    return StateVector(n, src.reshape(-1), _owned=True)
+    return StateVector(n, src.reshape(-1))
 
 
 def _check_seed(seed, name: str = "seed") -> int:

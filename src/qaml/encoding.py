@@ -63,7 +63,7 @@ def encode_superposition(bitstrings) -> StateVector:
     _check_register(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[indices] = math.sqrt(1.0 / len(bitstrings))
-    return StateVector(n, amps, _owned=True)
+    return StateVector(n, amps)
 
 
 def _check_features(values) -> np.ndarray:
@@ -105,7 +105,7 @@ def encode_amplitude(features) -> StateVector:
     n_qubits = _check_register(_amplitude_qubits(values.size))
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[: values.size] = values / norm
-    return StateVector(n_qubits, amps, _owned=True)
+    return StateVector(n_qubits, amps)
 
 
 def read_feature_rows(text: str, cell=float) -> list[list]:

@@ -1,10 +1,10 @@
 """Gate matrices and their application to state vectors.
 
 The one gate kernel is `_bind`, whose docstring states its bit contract: a bound
-step applies a 2x2 or 4x4 unitary to a batch-last `(2^n, batch)` buffer in
-O(2^n * batch) time with only its numpy calls. `apply_gate` binds, steps and
-restores once; `circuit._run` says how the one op loop reuses bound steps. Only
-the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
+step applies a k-qubit (2^k x 2^k) unitary to a batch-last `(2^n, batch)` buffer
+in O(2^k * 2^n * batch) time with only its numpy calls. `apply_gate` binds, steps
+and restores once; `circuit._run` says how the one op loop reuses bound steps.
+Only the test oracle `dense_unitary` builds the full 2^n x 2^n operator.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     TargetOutOfRange,
     UnknownGate,
 )
-from .state import StateVector, _complexes, _integer, _real
+from .state import StateVector, _complexes, _frozen, _integer, _real
 
 UNITARITY_ATOL = 1e-12
 
@@ -36,11 +36,13 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class GateMatrix:
-    """A named unitary: 2x2 for single-qubit gates, 4x4 for CX.
+    """A named unitary on `arity` qubits: a 2^k x 2^k matrix for any arity k >= 1 (2x2
+    for the one-qubit gates, 4x4 for CX), which `apply_gate` and `dense_unitary` take too.
 
-    `angle` is set exactly for the rotation gates RX/RY/RZ. A gate owns a read-only copy of
-    the matrix it is given: it shares neither the caller's array nor a library constant, and
-    leaves the caller's flags alone.
+    `angle` is set exactly for the rotation gates RX/RY/RZ. A gate checks the matrix it is
+    given as it is, then keeps a C-ordered read-only copy (`state._frozen`): it shares
+    neither the caller's array nor a library constant, leaves the caller's flags alone,
+    and gives `apply_gate` the same bits whatever the caller's memory order.
     """
 
     name: str
@@ -49,7 +51,7 @@ class GateMatrix:
     angle: float | None = None
 
     def __post_init__(self):
-        mat = _complexes(self.matrix, f"gate {self.name}: matrix", InvariantError, copy=True)
+        mat = _complexes(self.matrix, f"gate {self.name}: matrix", InvariantError)
         object.__setattr__(self, "arity", _integer(self.arity, "arity", InvariantError))
         if self.arity < 1:
             raise InvariantError(f"gate {self.name}: arity must be >= 1, got {self.arity}")
@@ -61,24 +63,17 @@ class GateMatrix:
         deviation = np.abs(mat.conj().T @ mat - np.eye(dim)).max()
         if deviation > UNITARITY_ATOL:
             raise InvariantError(f"gate {self.name} is not unitary (max |U†U - I| = {deviation})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def _constant(rows) -> np.ndarray:
-    mat = np.array(rows, dtype=np.complex128)
-    mat.setflags(write=False)
-    return mat
+        object.__setattr__(self, "matrix", _frozen(mat))
 
 
 # Shared read-only matrices of the fixed gates. CX maps
 # |control,target> -> |control, target XOR control>.
 FIXED_MATRICES = {
-    "H": _constant([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
-    "X": _constant([[0, 1], [1, 0]]),
-    "Y": _constant([[0, -1j], [1j, 0]]),
-    "Z": _constant([[1, 0], [0, -1]]),
-    "CX": _constant([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "H": _frozen([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]]),
+    "X": _frozen([[0, 1], [1, 0]]),
+    "Y": _frozen([[0, -1j], [1j, 0]]),
+    "Z": _frozen([[1, 0], [0, -1]]),
+    "CX": _frozen([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
 }
 # The gates whose matrices are real: a real state stays real under them.
 REAL_GATES = frozenset({"H", "X", "Z", "RY", "CX"})
@@ -290,7 +285,7 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     step(gate.matrix)
     if not into_out:
         np.copyto(*_relabel(src, out, after, order))
-    return StateVector(state.n_qubits, out.reshape(-1), _owned=True)
+    return StateVector(state.n_qubits, out.reshape(-1))
 
 
 def dense_unitary(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:

@@ -122,7 +122,7 @@ def bind(template: AnsatzTemplate, params) -> Circuit:
 def diffusion(state: StateVector) -> StateVector:
     """Inversion about the mean: reflect amplitudes through the uniform state."""
     amps = state.amplitudes
-    return StateVector(state.n_qubits, 2.0 * amps.mean() - amps, _owned=True)
+    return StateVector(state.n_qubits, 2.0 * amps.mean() - amps)
 
 
 def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
@@ -443,7 +443,7 @@ def train(
     if config.shots > 0:
         angles = _bound_angles(template, params)
         amps = _run_ansatz(objective.tensor[:, :1], template, angles).reshape(-1)
-        final_state = StateVector(template.n_qubits, amps / np.linalg.norm(amps), _owned=True)
+        final_state = StateVector(template.n_qubits, amps / np.linalg.norm(amps))
         final_histogram = sample_state(final_state, config.shots, config.seed)
 
     return TrainReport(

@@ -8,7 +8,7 @@ bit, so |110> lives at index 6.
 from __future__ import annotations
 
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,35 +25,30 @@ NORM_ATOL = 1e-9
 class StateVector:
     """Immutable 2^n-amplitude register state.
 
-    Construction copies the amplitudes and validates shape, finiteness and
-    normalization, so any StateVector in circulation owns its read-only
-    buffer and satisfies the class invariants; the caller's array keeps its
-    flags. Internal producers that hand over a fresh complex128 buffer no one
-    else holds pass `_owned=True`, which skips the copy: a 20-qubit build then
-    allocates at most 16 MiB (the |a|^2 of its norm check) instead of 32 MiB and
-    runs about a quarter faster. wide20's process peak is set elsewhere, so its
-    peak RSS does not show the difference.
+    Construction checks the caller's amplitudes as they are (shape, finiteness,
+    normalization), then keeps a C-ordered read-only copy (`_frozen`): every
+    StateVector owns its buffer and satisfies the class invariants, and the caller's
+    array keeps its flags. Checking first frees the norm check's |a|^2 before the copy
+    is made, so a build peaks at two states (the caller's array and the copy).
     """
 
     n_qubits: int
     amplitudes: np.ndarray = field(repr=False)
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
+    def __post_init__(self):
         object.__setattr__(self, "n_qubits", _check_register(self.n_qubits, max_qubits=None))
-        amps = _complexes(self.amplitudes, "amplitudes", InvariantError, copy=not _owned)
+        amps = _complexes(self.amplitudes, "amplitudes", InvariantError)
         # capped at 2**63 amplitudes, more than any array holds, so an absurd n builds no n-bit int
         if amps.shape != (1 << min(self.n_qubits, 63),):
             raise InvariantError(
                 f"expected 2**{self.n_qubits} amplitudes for {self.n_qubits} qubits, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps).all():
             raise InvariantError("amplitudes must be finite")
         norm2 = norm_squared(amps)
         if abs(norm2 - 1.0) > NORM_ATOL:
             raise InvariantError(f"state is not normalized: |amplitudes|^2 = {norm2}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen(amps))
 
     @property
     def dim(self) -> int:
@@ -116,17 +111,26 @@ def _reals(values, name: str, error) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def _complexes(values, name: str, error, copy: bool = False) -> np.ndarray:
+def _complexes(values, name: str, error) -> np.ndarray:
     """`values` as a complex128 array if numpy reads it as numbers (integers, reals or
     complex values; not bools, text or objects); else `error`. A complex128 array is
-    returned as it is, with no pass over its entries, unless `copy` asks for a copy."""
+    returned as it is, strides and memory order kept, with no pass over its entries:
+    `StateVector` and `GateMatrix` check it there, then keep a `_frozen` copy."""
     try:
         array = np.asarray(values)
     except ValueError:  # ragged
         array = None
     if array is None or array.dtype.kind not in "iufc":
         raise error(f"{name} must be numbers, got {values!r:.80}")
-    return (np.array if copy else np.asarray)(array, dtype=np.complex128)
+    return np.asarray(array, dtype=np.complex128)
+
+
+def _frozen(values) -> np.ndarray:
+    """A C-ordered read-only complex128 copy of `values`: what a `StateVector` or a
+    `GateMatrix` keeps, and each fixed gate's shared matrix."""
+    array = np.array(values, dtype=np.complex128, order="C")
+    array.setflags(write=False)
+    return array
 
 
 def _check_register(n_qubits, max_qubits: int | None = DEFAULT_MAX_QUBITS) -> int:
@@ -150,7 +154,7 @@ def make_basis_state(n_qubits: int, bits: str) -> StateVector:
         )
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(n_qubits, amps, _owned=True)
+    return StateVector(n_qubits, amps)
 
 
 def norm_squared(state) -> float:

@@ -213,6 +213,19 @@ class TestExecute:
         circ = Circuit(5, SPREAD_5 + (CircuitOp("CX", (control, target)),))
         assert np.abs(execute(circ).amplitudes - dense_execute(circ)).max() < 1e-12
 
+    def test_peaks_under_two_and_a_half_states(self):
+        # the op loop holds two buffers; the spare one is freed before the result is checked,
+        # and the check's |a|^2 before the state keeps its copy. Holding the spare, or copying
+        # first, peaks at 3 states. This circuit's result lands in the scratch buffer.
+        circuit = Circuit(16, tuple(CircuitOp("H", (q,)) for q in range(16)) + (CircuitOp("RX", (15,), 0.3),))
+        tracemalloc.start()
+        try:
+            state = execute(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state.amplitudes.nbytes
+
     @pytest.mark.parametrize("k", [0, 2])
     def test_nan_angle_names_its_op(self, k):
         ops = [CircuitOp("H", (0,)), CircuitOp("Z", (1,)), CircuitOp("RY", (1,), 0.3)]

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import random_state
+from test_kernel_oracle import tensordot_apply
 from qaml import (
     StateVector,
     apply_gate,
@@ -354,6 +356,34 @@ def run_step(src: np.ndarray, order: tuple, targets: tuple, name: str, matrix: n
     product, spare = (out, src) if into_out else (src, out)
     np.copyto(*gates._relabel(product, spare, after, sorted(after)))
     return spare
+
+
+class TestMultiQubitUnitaries:
+    """A user's 2- or 3-qubit unitary (not CX) runs as one staged zgemm, and the gate keeps
+    a C-ordered copy, so a Fortran-ordered matrix gives the same bits as its C form."""
+
+    @pytest.mark.parametrize("arity, n", [(arity, n) for arity in (2, 3) for n in range(arity, 11)])
+    def test_matches_the_oracle_in_either_memory_order(self, arity, n):
+        rng = np.random.default_rng([arity, n])
+        for _ in range(5):
+            matrix = stats.unitary_group.rvs(1 << arity, random_state=rng)
+            targets = tuple(range(arity))
+            while targets == tuple(sorted(targets)):
+                targets = tuple(int(q) for q in rng.permutation(n)[:arity])
+            state = random_state(n, rng)
+            gate = GateMatrix("U", arity, np.ascontiguousarray(matrix))
+            fortran = GateMatrix("U", arity, np.asfortranarray(matrix))
+            out = apply_gate(state, gate, targets)
+            # `dense_unitary` stops at 8 qubits; above that the oracle is a tensordot
+            if n <= 8:
+                expected = dense_unitary(gate, targets, n) @ state.amplitudes
+            else:
+                expected = tensordot_apply(state.amplitudes.reshape((2,) * n), matrix, targets).reshape(-1)
+            assert np.abs(out.amplitudes - expected).max() < 1e-12
+            np.testing.assert_array_equal(
+                apply_gate(state, fortran, targets).amplitudes.view(np.uint64), out.amplitudes.view(np.uint64)
+            )
+            assert fortran.matrix.flags.c_contiguous
 
 
 class TestRelabel:

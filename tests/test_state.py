@@ -5,7 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qaml import StateVector, make_basis_state, norm_squared, probabilities
+from qaml import (
+    Circuit,
+    CircuitOp,
+    StateVector,
+    apply_gate,
+    diffusion,
+    encode_amplitude,
+    encode_basis,
+    encode_superposition,
+    execute,
+    gate_h,
+    make_basis_state,
+    measure_once,
+    norm_squared,
+    probabilities,
+)
 from qaml.errors import InvalidBitstring, InvariantError, QubitCountExceeded
 
 
@@ -188,3 +203,23 @@ class TestOwnership:
         a[0] = 1
         assert a.flags.writeable
         np.testing.assert_array_equal(state.amplitudes, [0, 1])
+
+    # every producer goes through the one construction path: check, then keep a C-ordered read-only copy
+    PRODUCERS = {
+        "execute": lambda: execute(Circuit(3, (CircuitOp("H", (0,)), CircuitOp("CX", (0, 2))))),
+        "apply_gate": lambda: apply_gate(make_basis_state(2, "00"), gate_h(), [1]),
+        "make_basis_state": lambda: make_basis_state(2, "01"),
+        "encode_basis": lambda: encode_basis("101"),
+        "encode_superposition": lambda: encode_superposition(["00", "11"]),
+        "encode_amplitude": lambda: encode_amplitude([3.0, 4.0]),
+        "diffusion": lambda: diffusion(make_basis_state(2, "10")),
+        "measure_once": lambda: measure_once(make_basis_state(2, "10"), 7)[1],
+        "list": lambda: StateVector(1, [0.6, 0.8]),
+        # the checks see the caller's strided view as it is, so the skipped nan is not read
+        "strided_view": lambda: StateVector(1, np.array([0.6, np.nan, 0.8j, np.nan])[::2]),
+    }
+
+    @pytest.mark.parametrize("producer", PRODUCERS)
+    def test_every_producer_owns_read_only_amplitudes(self, producer):
+        amps = self.PRODUCERS[producer]().amplitudes
+        assert amps.flags.owndata and amps.flags.c_contiguous and not amps.flags.writeable
