@@ -8,6 +8,12 @@ simulation error, 3 encoder error, 4 config error (usage errors included),
 A file that cannot be read, decoded or written raises the error of its
 role: the program file 1, `--config` and `--out` 4, `--data` 5 and an
 `encode --input` file 3.
+
+Every input is read by one rule (`_read_text`, and `load_feature_rows` for
+`--data`): `-` is stdin, anything else a file path, and the text is UTF-8
+with one leading byte-order mark dropped. Everything wrong with the `--data`
+file, including a width that needs more qubits than the register ceiling, is
+a dataset error that names the file.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from . import circuit as circuit_mod
 from . import encoding as encoding_mod
 from . import hybrid
 from .dsl import parse, to_dsl
-from .errors import ConfigError, DatasetError, EncodingError, ParseError, QamlError, SimulationError
+from .errors import (ConfigError, DatasetError, EncodingError, ParseError, QamlError,
+                     QubitCountExceeded, SimulationError)
 from .state import StateVector, bitstrings, probabilities
 
 # The exit code and stderr prefix of each error group, in the order checked.
@@ -49,17 +56,21 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _file_errors(path: str, error):
-    """Raise a failure to read, decode, parse or write `path` as
-    `error(message)`, the error group of the file's role."""
+    """Raise a failure to read, decode, parse or write `path`, or a register it makes
+    too wide, as `error(message)`, the error group of the file's role."""
     try:
         yield
-    except (OSError, UnicodeError, EncodingError) as exc:
+    except (OSError, UnicodeError, EncodingError, QubitCountExceeded) as exc:
         raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _read_text(path: str, error) -> str:
-    with _file_errors(path, error), open(path, encoding="utf-8") as handle:
-        return handle.read()
+    """`path`, or stdin for "-", as UTF-8 text without a leading byte-order mark."""
+    with _file_errors("<stdin>" if path == "-" else path, error):
+        if path == "-":
+            return sys.stdin.read().removeprefix("\ufeff")
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -77,13 +88,8 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _parse_file(path: str):
-    unreadable = functools.partial(ParseError, None, None)
-    if path == "-":
-        with _file_errors("<stdin>", unreadable):
-            text, path = sys.stdin.read(), "<stdin>"
-    else:
-        text = _read_text(path, unreadable)
-    return parse(text, path)
+    text = _read_text(path, functools.partial(ParseError, None, None))
+    return parse(text, "<stdin>" if path == "-" else path)
 
 
 def _state_entries(state: StateVector, threshold: float) -> list[dict]:
@@ -154,17 +160,17 @@ def default_ansatz(n_qubits: int) -> hybrid.AnsatzTemplate:
 
 def cmd_train(args) -> int:
     config = hybrid.TrainConfig.from_json(_read_text(args.config, ConfigError))
+    spec = encoding_mod.EncodingSpec(args.encoding, args.axis)
     with _file_errors(args.data, DatasetError):
         rows = encoding_mod.load_feature_rows(args.data)
-    if not rows:
-        raise DatasetError("empty dataset")
-    if any(len(row) < 2 for row in rows):
-        raise DatasetError("each row needs features plus a label")
-    n_features = len(rows[0]) - 1
-    spec = encoding_mod.EncodingSpec(args.encoding, args.axis)
-    n_qubits = encoding_mod._amplitude_qubits(n_features) if spec.method == "amplitude" else n_features
-    data = [(row[:-1], row[-1]) for row in rows]
-    report = hybrid.train(default_ansatz(n_qubits), data, spec, config)
+        if not rows:
+            raise DatasetError("empty dataset")
+        if any(len(row) < 2 for row in rows):
+            raise DatasetError("each row needs features plus a label")
+        n_features = len(rows[0]) - 1
+        n_qubits = encoding_mod._amplitude_qubits(n_features) if spec.method == "amplitude" else n_features
+        template = default_ansatz(n_qubits)
+    report = hybrid.train(template, [(row[:-1], row[-1]) for row in rows], spec, config)
     with _file_errors(args.out, ConfigError), open(args.out, "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
         handle.write("\n")
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="encode classical data into a quantum state")
     p_enc.add_argument("--method", choices=encoding_mod.METHODS, required=True)
     p_enc.add_argument("--input", required=True, help="CSV file path or inline values")
-    p_enc.add_argument("--axis", choices=("x", "y", "z"), default="y")
+    p_enc.add_argument("--axis", type=str.upper, choices=encoding_mod.AXES, default="Y")
     p_enc.add_argument("--emit-circuit", action="store_true")
     p_enc.add_argument("--threshold", type=float, default=1e-12)
     p_enc.set_defaults(func=cmd_encode)
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--encoding", choices=encoding_mod.METHODS, default="angle")
-    p_train.add_argument("--axis", choices=("x", "y", "z"), default="y")
+    p_train.add_argument("--axis", type=str.upper, choices=encoding_mod.AXES, default="Y")
     p_train.set_defaults(func=cmd_train)
 
     return parser

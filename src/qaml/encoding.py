@@ -108,21 +108,26 @@ def encode_amplitude(features) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_feature_rows(text: str, cell=float) -> list[list]:
     """Parse CSV feature rows: one vector per row, each cell converted by
     `cell` (decimal literals by default, `str.strip` keeps bitstrings).
 
-    A header row is skipped when its first cell is not numeric.
+    A first row is a header, and skipped, when none of its cells is numeric.
     """
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as exc:
         raise EmptyInput(f"malformed CSV: {exc}") from None
-    if rows:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            rows = rows[1:]
+    if rows and not any(map(_is_number, rows[0])):
+        rows = rows[1:]
     parsed = []
     for row in rows:
         try:
@@ -133,5 +138,5 @@ def read_feature_rows(text: str, cell=float) -> list[list]:
 
 
 def load_feature_rows(path: str) -> list[list[float]]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return read_feature_rows(handle.read())

@@ -24,7 +24,7 @@ from .errors import (
     TargetOutOfRange,
     UnknownGate,
 )
-from .state import StateVector, _complexes, _frozen, _integer, _real
+from .state import StateVector, _check_register, _complexes, _frozen, _integer, _real
 
 UNITARITY_ATOL = 1e-12
 
@@ -294,6 +294,7 @@ def dense_unitary(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:
     Built entry by entry from the bit arithmetic of the index convention, so
     it shares no code path with `apply_gate`.
     """
+    n_qubits = _check_register(n_qubits, None)
     if n_qubits > 8:
         raise OracleSizeExceeded(f"{n_qubits} qubits exceeds the oracle limit of 8")
     targets = _check_targets(targets, gate.arity, n_qubits)

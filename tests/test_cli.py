@@ -14,6 +14,12 @@ def write(path, text):
     return str(path)
 
 
+def write_with_bom(path, text):
+    """A UTF-8 file that starts with a byte-order mark, as spreadsheet programs save CSV."""
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    return str(path)
+
+
 class TestRun:
     def test_bell_json(self, tmp_path, capsys):
         path = write(tmp_path / "bell.q", BELL)
@@ -124,6 +130,15 @@ class TestState:
         assert main(encode) == 0
         assert from_stdin == capsys.readouterr().out
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, monkeypatch):
+        assert main(["state", write(tmp_path / "bell.q", BELL)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["state", write_with_bom(tmp_path / "bom.q", BELL)]) == 0
+        assert capsys.readouterr().out == plain
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + BELL))
+        assert main(["state", "-"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_bell_state(self, tmp_path, capsys):
         path = write(tmp_path / "bell.q", BELL)
         assert main(["state", path]) == 0
@@ -206,6 +221,20 @@ class TestEncode:
         assert main(["encode", "--method", "amplitude", "--input", path]) == 0
         entries = json.loads(capsys.readouterr().out)
         assert [e["re"] for e in entries] == pytest.approx([0.6, 0.8])
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        path = write_with_bom(tmp_path / "features.csv", "3,4\n1,0\n")
+        assert main(["encode", "--method", "amplitude", "--input", path]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["re"] for e in entries] == pytest.approx([0.6, 0.8])
+
+    @pytest.mark.parametrize("extra", [[], ["--emit-circuit"]])
+    def test_axis_in_either_case(self, capsys, extra):
+        outputs = []
+        for axis in ("Y", "y"):
+            assert main(["encode", "--method", "angle", "--input", "0.5,1.5", "--axis", axis] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestTrain:
@@ -319,6 +348,28 @@ class TestTrain:
         out = str(tmp_path / "report.json")
         assert main(["train", "--config", config, "--data", data, "--out", out]) == 4
         assert capsys.readouterr().err.startswith(f"config error: {field} must be")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        rows, payload = "0.1,1\n0.2,-1\n", json.dumps({"max_iterations": 1, "seed": 1})
+        traces = []
+        for write_file in (write, write_with_bom):
+            config = write_file(tmp_path / "config.json", payload)
+            data = write_file(tmp_path / "data.csv", rows)
+            out = tmp_path / "report.json"
+            assert main(["train", "--config", config, "--data", data, "--out", str(out)]) == 0
+            traces.append(json.loads(out.read_text())["loss_trace"])
+        assert traces[0] == traces[1] and len(traces[0]) == 1
+
+    def test_axis_in_either_case(self, tmp_path):
+        config = self.config(tmp_path, max_iterations=2)
+        data = write(tmp_path / "data.csv", self.FOUR_ROWS)
+        reports = []
+        for axis in ("X", "x"):
+            out = tmp_path / f"report-{axis}.json"
+            argv = ["train", "--config", config, "--data", data, "--out", str(out), "--axis", axis]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_missing_config_exits_4(self, tmp_path):
         data = write(tmp_path / "data.csv", "0.0,1\n")

@@ -223,6 +223,10 @@ class TestCsvIngestion:
         rows = read_feature_rows("f1,f2\n0.5,0.25\n")
         assert rows == [[0.5, 0.25]]
 
+    def test_a_row_with_a_number_is_not_a_header(self):
+        with pytest.raises(EmptyInput):
+            read_feature_rows("0..1,0.2,1\n0.3,0.4,-1\n")
+
     def test_malformed_cell(self):
         with pytest.raises(EmptyInput):
             read_feature_rows("1.0,2.0\n3.0,oops\n")

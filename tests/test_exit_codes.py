@@ -250,6 +250,10 @@ class TestBadValues:
             (lambda: StateVector(1, {"a": 1}), errors.InvariantError),
             (lambda: norm_squared(None), errors.InvariantError),
             (lambda: probabilities(None), errors.InvariantError),
+            # the oracle checks its register size as every other register is checked
+            (lambda: dense_unitary(gate_h(), (0,), 2.5), errors.InvariantError),
+            (lambda: dense_unitary(gate_h(), (0,), True), errors.InvariantError),
+            (lambda: dense_unitary(gate_h(), (0,), 0), errors.InvariantError),
         ],
     )
     def test_raises_its_own_class(self, build, error):
@@ -329,6 +333,12 @@ class TestRegisterCeiling:
     def test_cli_exits_2(self, tmp_path, command, n):
         path = write(tmp_path / "wide.q", f"qubits {n}\nh 0\n")
         assert_fails([command, path], 2, f"simulation error: {n} qubits exceeds the ceiling of 24")
+
+    def test_too_many_features_is_a_dataset_error(self, tmp_path):
+        config = write(tmp_path / "config.json", "{}")
+        data = write(tmp_path / "wide.csv", ",".join(["0.5"] * 25 + ["1"]) + "\n")
+        argv = ["train", "--config", config, "--data", data, "--out", str(tmp_path / "report.json")]
+        assert call(argv) == (5, "", f"dataset error: {data}: 25 qubits exceeds the ceiling of 24\n")
 
 
 class TestDataset:
