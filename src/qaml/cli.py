@@ -9,11 +9,11 @@ A file that cannot be read, decoded or written raises the error of its
 role: the program file 1, `--config` and `--out` 4, `--data` 5 and an
 `encode --input` file 3.
 
-Every input is read by one rule (`_read_text`, and `load_feature_rows` for
-`--data`): `-` is stdin, anything else a file path, and the text is UTF-8
-with one leading byte-order mark dropped. Everything wrong with the `--data`
-file, including a width that needs more qubits than the register ceiling, is
-a dataset error that names the file.
+Every input, `--data` included, is read by one rule (`encoding._read_text`):
+`-` is stdin, anything else a file path, and the text is UTF-8 with one
+leading byte-order mark dropped. Everything wrong with the `--data` input,
+including a width that needs more qubits than the register ceiling, is a
+dataset error that names the file, or `<stdin>`.
 """
 
 from __future__ import annotations
@@ -65,12 +65,9 @@ def _file_errors(path: str, error):
 
 
 def _read_text(path: str, error) -> str:
-    """`path`, or stdin for "-", as UTF-8 text without a leading byte-order mark."""
+    """`encoding._read_text(path)`, each failure raised as `error` naming `<stdin>` or the path."""
     with _file_errors("<stdin>" if path == "-" else path, error):
-        if path == "-":
-            return sys.stdin.read().removeprefix("\ufeff")
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+        return encoding_mod._read_text(path)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -129,10 +126,11 @@ def cmd_state(args) -> int:
 def cmd_encode(args) -> int:
     if args.emit_circuit and args.method != "angle":
         raise ConfigError(f"--emit-circuit needs --method angle, got --method {args.method}")
-    # the input is a CSV file path or one inline row; only its first row is encoded
-    text = _read_text(args.input, EncodingError) if os.path.isfile(args.input) else args.input
+    # a CSV file or stdin ("-"), which may start with a header, or one inline row; one row is encoded
+    file = args.input == "-" or os.path.isfile(args.input)
+    text = _read_text(args.input, EncodingError) if file else args.input
     bits = args.method in ("basis", "superposition")
-    rows = encoding_mod.read_feature_rows(text, str.strip if bits else float)
+    rows = encoding_mod.read_feature_rows(text, str.strip if bits else float, file)
     cells = rows[0] if rows else []
     if args.method == "basis":
         state = encoding_mod.encode_basis("".join(cells))
@@ -161,7 +159,7 @@ def default_ansatz(n_qubits: int) -> hybrid.AnsatzTemplate:
 def cmd_train(args) -> int:
     config = hybrid.TrainConfig.from_json(_read_text(args.config, ConfigError))
     spec = encoding_mod.EncodingSpec(args.encoding, args.axis)
-    with _file_errors(args.data, DatasetError):
+    with _file_errors("<stdin>" if args.data == "-" else args.data, DatasetError):
         rows = encoding_mod.load_feature_rows(args.data)
         if not rows:
             raise DatasetError("empty dataset")

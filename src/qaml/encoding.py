@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,17 +117,17 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def read_feature_rows(text: str, cell=float) -> list[list]:
+def read_feature_rows(text: str, cell=float, header: bool = True) -> list[list]:
     """Parse CSV feature rows: one vector per row, each cell converted by
     `cell` (decimal literals by default, `str.strip` keeps bitstrings).
 
-    A first row is a header, and skipped, when none of its cells is numeric.
+    With `header`, a first row is a header, and skipped, when none of its cells is numeric.
     """
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as exc:
         raise EmptyInput(f"malformed CSV: {exc}") from None
-    if rows and not any(map(_is_number, rows[0])):
+    if header and rows and not any(map(_is_number, rows[0])):
         rows = rows[1:]
     parsed = []
     for row in rows:
@@ -137,6 +138,13 @@ def read_feature_rows(text: str, cell=float) -> list[list]:
     return parsed
 
 
-def load_feature_rows(path: str) -> list[list[float]]:
+def _read_text(path: str) -> str:
+    """`path`, or stdin for "-", as UTF-8 text without a leading byte-order mark."""
+    if path == "-":
+        return sys.stdin.read().removeprefix("\ufeff")
     with open(path, encoding="utf-8-sig") as handle:
-        return read_feature_rows(handle.read())
+        return handle.read()
+
+
+def load_feature_rows(path: str) -> list[list[float]]:
+    return read_feature_rows(_read_text(path))

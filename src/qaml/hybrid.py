@@ -9,11 +9,11 @@ by gradient descent.
 
 Template ops are `CircuitOp`s whose rotations may name a parameter slot
 (`AnsatzOp` is another name for `CircuitOp`), checked by `circuit._check_ops` as
-a `Circuit`'s are. Angle encoding runs through `circuit.execute`. `_Objective`
-runs the encoded samples, the columns of one `(2^n, batch)` buffer, through the
-same op loop, `circuit._run`; its docstring and `shift_gradient`'s say how the
-passes use its buffers. `loss_value`, `gradient` and `train` take the loss from
-it, and every readout takes |a|^2 from `state.probabilities`, by row.
+a `Circuit`'s are. `train` encodes angle rows as one batch (`_encode_angles`).
+`_Objective` runs the encoded samples, the columns of one `(2^n, batch)` buffer,
+through the op loop, `circuit._run`; its docstring and `shift_gradient`'s say how
+the passes use its buffers. `loss_value`, `gradient` and `train` take the loss
+from it, and every readout takes |a|^2 from `state.probabilities`, by row.
 
 The batch is float64 when every template op is real (`gates.REAL_GATES`: H, X,
 Z, RY and CX, as in `cli.default_ansatz`, Qiskit's `RealAmplitudes`) and every
@@ -46,10 +46,9 @@ from .circuit import (
     _readout,
     _rng,
     _run,
-    execute,
     sample_state,
 )
-from .encoding import EncodingSpec, encode_amplitude, encode_angle
+from .encoding import EncodingSpec, _check_features, encode_amplitude
 from .errors import (
     ConfigError,
     DatasetError,
@@ -63,7 +62,7 @@ from .errors import (
     QubitMismatch,
     SimulationError,
 )
-from .gates import REAL_GATES, _check_target
+from .gates import REAL_GATES, _check_target, _relabel, op_matrix
 from .state import StateVector, _check_register, _integer, _real, _reals
 from .state import make_basis_state, probabilities
 
@@ -175,33 +174,40 @@ def _run_ansatz(tensor: np.ndarray, template: AnsatzTemplate, angles: list) -> n
     return _run(np.array(tensor, dtype=np.complex128, order="C"), template.ops, angles)
 
 
+def _check_widths(widths: list, n_qubits: int) -> None:
+    """At least one sample, and each encoded on the template's `n_qubits`."""
+    if not widths:
+        raise EmptyDataset("loss needs at least one input state")
+    for index, width in enumerate(widths):
+        if width != n_qubits:
+            raise QubitMismatch(f"sample {index}: encoding produced {width} qubits, template has {n_qubits}")
+
+
 class _Objective:
-    """The loss of `loss_spec`'s readout after `template`, on one batch.
+    """The loss of the Z readout of `qubit` after `template` on one batch, the columns of the
+    C-contiguous `(2**n, batch)` `tensor`, kept next to the Z signs and the labels. Every
+    ansatz pass copies its input into one of three owned buffers of that shape and runs there,
+    with one plan table for all three (see `circuit._run`), so after the first iteration no
+    pass allocates such a buffer or binds a step. Its settings come from one `TrainConfig`;
+    with `shots` > 0 readouts draw from `_rng(seed)`, keyed here."""
 
-    The encoded states are stacked once, as the columns of a C-contiguous
-    `(2**n, batch)` buffer, next to the readout's Z signs and the labels. Every ansatz
-    pass copies its input into one of three owned buffers of that shape and runs there,
-    with one plan table for all three (see `circuit._run`), so after the first
-    iteration no pass allocates such a buffer or binds a step. Its settings come from
-    one `TrainConfig`; with `shots` > 0 readouts draw from `_rng(seed)`, keyed here."""
-
-    def __init__(self, template: AnsatzTemplate, loss_spec: LossSpec, config: TrainConfig | None = None):
-        for index, state in enumerate(loss_spec.inputs):
-            if state.n_qubits != template.n_qubits:
-                raise QubitMismatch(
-                    f"sample {index}: encoding produced {state.n_qubits} qubits, "
-                    f"template has {template.n_qubits}"
-                )
+    def __init__(self, template: AnsatzTemplate, tensor: np.ndarray, labels=None, config=None, qubit=0):
         self.template = template
-        tensor = np.stack([s.amplitudes for s in loss_spec.inputs], axis=1)
         # the float64 rule of the module docstring
         real = tensor.size > 2 and REAL_GATES.issuperset(op.gate_name for op in template.ops)
         self.tensor = tensor.real.copy() if real and not tensor.imag.any() else tensor
         self._buffers, self._plans = [np.empty_like(self.tensor, order="C") for _ in range(3)], {}
-        self.signs = _z_signs(template.n_qubits, loss_spec.qubit)
-        self.labels = None if loss_spec.labels is None else np.asarray(loss_spec.labels)
+        self.signs = _z_signs(template.n_qubits, qubit)
+        self.labels = None if labels is None else np.asarray(labels)
         self.config = config = TrainConfig() if config is None else config
         self.rng = _rng(config.seed) if config.shots > 0 else None
+
+    @classmethod
+    def of_loss(cls, template: AnsatzTemplate, loss: LossSpec, config=None) -> "_Objective":
+        """The objective of `loss`, its input states stacked as the columns of the batch."""
+        _check_widths([state.n_qubits for state in loss.inputs], template.n_qubits)
+        tensor = np.stack([state.amplitudes for state in loss.inputs], axis=1)
+        return cls(template, tensor, loss.labels, config, loss.qubit)
 
     def probs(self, angles: list) -> np.ndarray:
         """Outcome probabilities after the ansatz, one row per sample."""
@@ -272,7 +278,7 @@ class _Objective:
 
 def loss_value(template: AnsatzTemplate, params, loss: LossSpec) -> float:
     params = _check_params(template, params)
-    return _Objective(template, loss)._value(params)
+    return _Objective.of_loss(template, loss)._value(params)
 
 
 def gradient(
@@ -291,7 +297,7 @@ def gradient(
     """
     params = _check_params(template, params)
     config = TrainConfig(gradient_method=method, fd_step=fd_step)
-    return _Objective(template, loss, config).gradient(params)
+    return _Objective.of_loss(template, loss, config).gradient(params)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +376,8 @@ class TrainReport:
         return json.dumps(vars(self), sort_keys=True, default=Histogram._payload)
 
 
-def _encode_sample(features, encoding: EncodingSpec, use_hadamard: bool) -> StateVector:
-    """Encoded input state for one sample."""
-    if encoding.method == "angle":
-        circ = encode_angle(features, encoding.axis)
-        if use_hadamard:
-            circ = Circuit(circ.n_qubits, hadamard_layer(circ.n_qubits).ops + circ.ops)
-        return execute(circ)
+def _encode_sample(features, encoding: EncodingSpec) -> StateVector:
+    """Encoded input state for one sample of a state-preparing encoding."""
     if encoding.method == "amplitude":
         return encode_amplitude(features)
     # basis and superposition both read a single 0/1 feature row as one label
@@ -386,6 +387,24 @@ def _encode_sample(features, encoding: EncodingSpec, use_hadamard: bool) -> Stat
             raise InvalidBitstring(f"{encoding.method} encoding requires 0/1 features, got {v}")
         bits.append("1" if v else "0")
     return make_basis_state(len(bits), "".join(bits))
+
+
+def _encode_angles(rows: list, axis: str, hadamard: bool) -> np.ndarray:
+    """The `(2**n, m)` batch of `m` checked rows of `n` angles, each column with the bits of
+    `execute(encode_angle(row))` after the optional Hadamard layer (one `_run`, the same for
+    every row): per qubit, one stacked product of the rows' `op_matrix`es and the batch
+    staged target-first, which is per row the op loop's product, remainder columns and all."""
+    n, m = len(rows[0]), len(rows)
+    start = np.eye(1 << n, 1, dtype=np.complex128)
+    batch = np.repeat(_run(start, hadamard_layer(n).ops, [None] * n) if hadamard else start, m, axis=1)
+    staged, order = np.empty_like(batch), tuple(range(n + 1))  # axis n is the batch, as in `_run`
+    for q, angles in enumerate(zip(*rows)):
+        front = (n, q, *(other for other in range(n) if other != q))  # rows, qubit q, the rest
+        np.copyto(*_relabel(batch, staged, order, front))
+        matrices, order = [op_matrix(f"R{axis}", angle) for angle in angles], front
+        np.matmul(matrices, staged.reshape(m, 2, -1), out=batch.reshape(m, 2, -1))
+    np.copyto(*_relabel(batch, staged, order, sorted(order)))
+    return staged
 
 
 def train(
@@ -405,8 +424,7 @@ def train(
         raise ConfigError(
             f"hadamard_layer is incompatible with state-preparing encoding {encoding.method!r}"
         )
-    labels = []
-    states = []
+    angle, labels, encoded = encoding.method == "angle", [], []
     for index, row in enumerate(data):
         if not np.iterable(row) or len(pair := tuple(row)) != 2:
             raise DatasetError(f"sample {index}: expected a (features, label) pair, got {row!r}")
@@ -415,13 +433,19 @@ def train(
             raise InvalidLabel(f"sample {index}: label must be -1 or +1, got {label}")
         labels.append(float(label))
         try:
-            states.append(_encode_sample(features, encoding, config.hadamard_layer))
+            encoded.append(_check_features(features).tolist() if angle else _encode_sample(features, encoding))
         except (EncodingError, SimulationError) as exc:
             raise DatasetError(f"sample {index}: {exc}") from exc
 
+    if angle:
+        _check_widths([len(row) for row in encoded], template.n_qubits)
+        # no name keeps the complex batch once a float64 objective has its copy
+        objective = _Objective(template, _encode_angles(encoded, encoding.axis, config.hadamard_layer),
+                               labels, config)
+    else:
+        objective = _Objective.of_loss(template, LossSpec(tuple(encoded), tuple(labels)), config)
     # angle encoding adds one rotation per qubit, after as many H with the Hadamard layer
-    encode_depth = template.n_qubits * (1 + config.hadamard_layer) if encoding.method == "angle" else 0
-    objective = _Objective(template, LossSpec(tuple(states), tuple(labels)), config)
+    encode_depth = template.n_qubits * (1 + config.hadamard_layer) if angle else 0
 
     params = np.zeros(template.n_params) if initial_params is None else initial_params
     params = _check_params(template, params)

@@ -296,11 +296,11 @@ class TestOpPlan:
         slot = AnsatzOp("RY", (0,), param=0)
         template = AnsatzTemplate(2, (slot, CircuitOp("CX", (0, 1)), slot), 1)
         inputs = tuple(random_state(2, rng) for _ in range(3))
-        objective = _Objective(template, LossSpec(inputs))
+        objective = _Objective.of_loss(template, LossSpec(inputs))
         first = objective.probs([0.4, None, 0.4])
         # one op object bound to two angles in one call, then a second call
         second = objective.probs([1.1, None, -0.7])
-        fresh = _Objective(template, LossSpec(inputs)).probs([1.1, None, -0.7])
+        fresh = _Objective.of_loss(template, LossSpec(inputs)).probs([1.1, None, -0.7])
         np.testing.assert_array_equal(bits(second), bits(fresh))
         for row, state in enumerate(inputs):
             for angles, probs in (([0.4, None, 0.4], first), ([1.1, None, -0.7], second)):
@@ -346,7 +346,7 @@ class TestOpPlan:
     def test_infinite_bound_angle_after_cached_ops_names_its_op(self, k, rng):
         slot, h = AnsatzOp("RY", (1,), param=0), CircuitOp("H", (0,))
         template = AnsatzTemplate(2, (h, slot, h, slot, h, slot), 1)
-        objective = _Objective(template, LossSpec((random_state(2, rng),)))
+        objective = _Objective.of_loss(template, LossSpec((random_state(2, rng),)))
         angles = [None, 0.2, None, 0.2, None, 0.2]
         angles[k] = math.inf
         with pytest.raises(NonFiniteAngle) as info:

@@ -236,6 +236,29 @@ class TestEncode:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("method", ["amplitude", "angle"])
+    def test_inline_row_is_never_a_header(self, capsys, method):
+        # an inline row of non-numbers is the row to encode, so the error names its cell
+        assert main(["encode", "--method", method, "--input", "a,b"]) == 3
+        assert capsys.readouterr().err == (
+            "encoding error: malformed CSV row ['a', 'b']: could not convert string to float: 'a'\n"
+        )
+
+    def test_header_of_a_file_is_skipped(self, tmp_path, capsys):
+        outputs = []
+        for name, text in (("plain", "3,4\n"), ("header", "a,b\n3,4\n")):
+            assert main(["encode", "--method", "amplitude", "--input", write(tmp_path / f"{name}.csv", text)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_input_from_stdin(self, capsys, monkeypatch):
+        assert main(["encode", "--method", "amplitude", "--input", "3,4"]) == 0
+        inline = capsys.readouterr().out
+        for text in ("3,4\n", "a,b\n3,4\n", "\ufeff3,4\n1,0\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["encode", "--method", "amplitude", "--input", "-"]) == 0
+            assert capsys.readouterr().out == inline
+
 
 class TestTrain:
     def config(self, tmp_path, **overrides):
@@ -359,6 +382,46 @@ class TestTrain:
             assert main(["train", "--config", config, "--data", data, "--out", str(out)]) == 0
             traces.append(json.loads(out.read_text())["loss_trace"])
         assert traces[0] == traces[1] and len(traces[0]) == 1
+
+    def test_data_from_stdin(self, tmp_path, capsys, monkeypatch):
+        config = self.config(tmp_path, max_iterations=2)
+        data = write(tmp_path / "data.csv", self.FOUR_ROWS)
+        reports = []
+        for name, source, text in (("file", data, ""), ("stdin", "-", self.FOUR_ROWS),
+                                   ("bom", "-", "\ufeff" + self.FOUR_ROWS)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            out = tmp_path / f"{name}.json"
+            assert main(["train", "--config", config, "--data", source, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_data_from_stdin_names_stdin(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0.1,0.2,1\n0.3,-1\n"))
+        argv = ["train", "--config", self.config(tmp_path), "--data", "-", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 5
+        assert capsys.readouterr().err == "dataset error: sample 1: encoding produced 1 qubits, template has 2\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(["0.5"] * 25) + ",1\n"))
+        assert main(argv) == 5
+        assert capsys.readouterr().err == "dataset error: <stdin>: 25 qubits exceeds the ceiling of 24\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.1,0.2,1\n0.3,nan,-1\n", "sample 1: feature value must be finite, got nan"),
+            ("0.1,0.2,1\n0.3,-inf,-1\n", "sample 1: feature value must be finite, got -inf"),
+            ("0.1,0.2,1\n0.3,-1\n0.1,0.2,1\n", "sample 1: encoding produced 1 qubits, template has 2"),
+            ("0.1,0.2,1\n0.3,0.4,0.5,-1\n", "sample 1: encoding produced 3 qubits, template has 2"),
+            # every row's own checks run before the widths are compared
+            ("0.1,0.2,1\n0.3,-1\n0.1,0.2,0\n", "sample 2: label must be -1 or +1, got 0.0"),
+            ("0.1,0.2,1\n0.3,-1\n0.1,nan,1\n", "sample 2: feature value must be finite, got nan"),
+        ],
+    )
+    def test_bad_angle_row_exits_5(self, tmp_path, capsys, rows, message):
+        data = write(tmp_path / "data.csv", rows)
+        argv = ["train", "--config", self.config(tmp_path), "--data", data, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 5
+        assert capsys.readouterr().err == f"dataset error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_axis_in_either_case(self, tmp_path):
         config = self.config(tmp_path, max_iterations=2)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -40,10 +41,12 @@ from qaml.errors import (
     ConfigError,
     DatasetError,
     EmptyDataset,
+    EmptyInput,
     InvalidBitstring,
     InvalidLabel,
     InvariantError,
     NonFiniteAngle,
+    NonFiniteFeature,
     NonFiniteParam,
     ParamCountMismatch,
     QubitMismatch,
@@ -365,7 +368,7 @@ class TestShiftWalk:
     def test_matches_full_shifted_circuits(self, name, rng):
         template = WALK_TEMPLATES[name]
         params = rng.uniform(-math.pi, math.pi, size=template.n_params)
-        objective = hybrid._Objective(template, self.loss())
+        objective = hybrid._Objective.of_loss(template, self.loss())
         before = objective.tensor.copy()
         angles = hybrid._bound_angles(template, params)
         got = objective.shift_gradient(angles, objective.loss(objective.probs(angles))[1])
@@ -385,7 +388,7 @@ class TestShiftWalk:
     def test_keeps_the_bits_of_full_shifted_passes(self, template, batch, rng):
         inputs = tuple(random_state(template.n_qubits, rng) for _ in range(batch))
         labels = tuple(rng.choice([-1.0, 1.0], batch))
-        objective = hybrid._Objective(template, LossSpec(inputs, labels))
+        objective = hybrid._Objective.of_loss(template, LossSpec(inputs, labels))
         angles = hybrid._bound_angles(template, rng.uniform(-3, 3, size=template.n_params))
         factors = objective.loss(objective.probs(angles))[1]
         d_exps = np.zeros((template.n_params, batch))
@@ -485,13 +488,13 @@ class TestObjectiveBuffers:
             hybrid._bound_angles(template, rng.uniform(-3, 3, size=template.n_params))
             for _ in range(2)
         )
-        objective = hybrid._Objective(template, loss)
+        objective = hybrid._Objective.of_loss(template, loss)
         objective.shift_gradient(first, objective.loss(objective.probs(first))[1])
         probs = objective.probs(second)
         factors = objective.loss(probs)[1]
         got = objective.shift_gradient(second, factors)
-        fresh_probs = hybrid._Objective(template, loss).probs(second)
-        fresh = hybrid._Objective(template, loss).shift_gradient(second, factors)
+        fresh_probs = hybrid._Objective.of_loss(template, loss).probs(second)
+        fresh = hybrid._Objective.of_loss(template, loss).shift_gradient(second, factors)
         np.testing.assert_array_equal(probs.view(np.uint64), fresh_probs.view(np.uint64))
         np.testing.assert_array_equal(got.view(np.uint64), fresh.view(np.uint64))
 
@@ -534,11 +537,12 @@ def real_objective(template, batch, encoding, hadamard, rng):
     n = template.n_qubits
     if encoding.method == "angle":
         rows = rng.choice([0.0, -0.0, math.pi, -math.pi, 0.7, -2.1, 1.3], size=(batch, n))
+        tensor = hybrid._encode_angles(rows.tolist(), encoding.axis, hadamard)
     else:
         rows = rng.choice([0.0, -0.0, 0.5, -1.25, 2.0], size=(batch, 1 << n))
         rows[:, 0] = 1.0  # no all-zero row
-    inputs = tuple(hybrid._encode_sample(row, encoding, hadamard) for row in rows)
-    return hybrid._Objective(template, LossSpec(inputs, tuple(rng.choice([-1.0, 1.0], batch))))
+        tensor = np.stack([hybrid._encode_sample(row, encoding).amplitudes for row in rows], axis=1)
+    return hybrid._Objective(template, tensor, tuple(rng.choice([-1.0, 1.0], batch)))
 
 
 REAL_ROWS = {
@@ -597,6 +601,77 @@ class TestRealBatch:
                 got = real.shift_gradient(angles, factors)
                 expected = forced.shift_gradient(angles, factors)
                 np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def execute_rows(rows, axis, hadamard):
+    """One `execute(encode_angle(row))` per row, after the Hadamard layer if asked,
+    stacked as columns: what `train` ran for angle rows before they were batched."""
+    columns = []
+    for row in rows:
+        circuit = encode_angle(row, axis)
+        if hadamard:
+            circuit = Circuit(circuit.n_qubits, hadamard_layer(circuit.n_qubits).ops + circuit.ops)
+        columns.append(execute(circuit).amplitudes)
+    return np.stack(columns, axis=1)
+
+
+class TestEncodeAngles:
+    """`train` encodes angle rows as one batch, whose columns keep the bits of one
+    `execute(encode_angle(row))` per row, signed zeros included."""
+
+    @staticmethod
+    def rows(n_qubits, seed):
+        """Rows of 0.0, -0.0, pi and -pi alone, then 9 mixed rows with those values."""
+        mixed = np.random.default_rng(seed).choice([0.0, -0.0, math.pi, -math.pi, 0.7, -2.1, 1.3], (9, n_qubits))
+        return [[value] * n_qubits for value in (0.0, -0.0, math.pi, -math.pi)] + mixed.tolist()
+
+    @pytest.mark.parametrize("hadamard", [False, True])
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("n_qubits", range(1, 11))
+    def test_keeps_the_bits_of_one_execute_per_row(self, n_qubits, axis, hadamard):
+        rows = self.rows(n_qubits, (n_qubits, ord(axis), hadamard))
+        batch = hybrid._encode_angles(rows, axis, hadamard)
+        expected = execute_rows(rows, axis, hadamard)
+        assert batch.dtype == np.complex128 and batch.flags.c_contiguous
+        np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
+        # the float64 rule keeps a C-contiguous copy of the real part of a real batch
+        objective = hybrid._Objective(real_template(n_qubits), batch)
+        if axis == "Y":
+            assert objective.tensor.dtype == np.float64 and objective.tensor.flags.c_contiguous
+            np.testing.assert_array_equal(objective.tensor.view(np.uint64), expected.real.copy().view(np.uint64))
+        else:
+            assert objective.tensor is batch
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_one_row(self, n_qubits):
+        rows = [[-0.0, math.pi, 0.7][:n_qubits]]
+        for axis, hadamard in [("X", False), ("Y", True), ("Z", True)]:
+            batch = hybrid._encode_angles(rows, axis, hadamard)
+            expected = execute_rows(rows, axis, hadamard)
+            np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    @pytest.mark.parametrize("hadamard", [False, True])
+    def test_train_reads_the_loss_of_the_per_row_states(self, axis, hadamard):
+        rows = self.rows(3, (3, ord(axis), hadamard))
+        labels = [1 if k % 3 else -1 for k in range(len(rows))]
+        config = TrainConfig(max_iterations=2, convergence_tol=0.0, hadamard_layer=hadamard)
+        report = train(default_ansatz(3), list(zip(rows, labels)), EncodingSpec("angle", axis), config)
+        states = tuple(StateVector(3, column) for column in execute_rows(rows, axis, hadamard).T)
+        assert report.loss_trace[0] == loss_value(default_ansatz(3), np.zeros(6), LossSpec(states, labels))
+
+    def test_peak_memory_is_two_batches(self):
+        # 256 rows of 8 qubits: the batch and the staging buffer, 1 MiB each
+        rows = np.random.default_rng(8).uniform(-math.pi, math.pi, (256, 8)).tolist()
+        hybrid._encode_angles(rows, "Y", True)  # first-call caches are not the builder's
+        tracemalloc.start()
+        try:
+            batch = hybrid._encode_angles(rows, "Y", True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.nbytes == 1 << 20
+        assert peak < 2.25 * batch.nbytes
 
 
 class TestLossSpecQubitCount:
@@ -999,6 +1074,51 @@ class TestTrain:
         with pytest.raises(DatasetError, match="requires 0/1 features") as info:
             train(RY_TEMPLATE, [([feature], 1)], EncodingSpec(method), TrainConfig(max_iterations=1))
         assert isinstance(info.value.__cause__, InvalidBitstring)
+
+
+class TestAngleRowChecks:
+    """Each angle row passes its pair, label and feature checks in row order, and the
+    widths are compared with the template only after every row has passed them."""
+
+    @staticmethod
+    def train(rows):
+        return train(default_ansatz(2), rows, EncodingSpec("angle"), TrainConfig(max_iterations=1))
+
+    @pytest.mark.parametrize(
+        "features, cause, message",
+        [
+            ([0.3, float("nan")], NonFiniteFeature, "feature value must be finite, got nan"),
+            ([0.3, float("inf")], NonFiniteFeature, "feature value must be finite, got inf"),
+            ([0.3, -math.inf], NonFiniteFeature, "feature value must be finite, got -inf"),
+            ([0.3, True], NonFiniteFeature, "feature value must be a real number, got True"),
+            ([0.3, np.True_], NonFiniteFeature, "feature value must be a real number, got np.True_"),
+            ([0.3, "0.5"], NonFiniteFeature, "feature value must be a real number, got '0.5'"),
+            ([], EmptyInput, "feature vector must be a non-empty 1-D sequence"),
+            ([[0.3, 0.4]], NonFiniteFeature, "expected a flat sequence of feature values, got [[0.3, 0.4]]"),
+        ],
+    )
+    def test_a_bad_feature_names_its_sample(self, features, cause, message):
+        with pytest.raises(DatasetError, match=f"^sample 1: {re.escape(message)}$") as info:
+            self.train([([0.1, 0.2], 1), (features, -1), ([0.3, 0.4], 1)])
+        assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_ragged_row_names_its_width(self, width):
+        message = f"^sample 1: encoding produced {width} qubits, template has 2$"
+        with pytest.raises(QubitMismatch, match=message):
+            self.train([([0.1, 0.2], 1), ([0.5] * width, -1), ([0.3], 1)])
+
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            (([0.3, 0.4], 0), InvalidLabel, r"sample 2: label must be -1 or \+1, got 0"),
+            (([0.3, float("nan")], 1), DatasetError, "sample 2: feature value must be finite, got nan"),
+            (([0.3, 0.4],), DatasetError, r"sample 2: expected a \(features, label\) pair, got \(\[0.3, 0.4\],\)"),
+        ],
+    )
+    def test_row_checks_come_before_the_width_check(self, row, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            self.train([([0.1, 0.2], 1), ([0.5, 0.5, 0.5], -1), row])
 
 
 class TestTrainReport:
