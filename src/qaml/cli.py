@@ -5,15 +5,12 @@ The commands only raise; `main` turns every error into one stderr line and
 an exit code chosen by its group in `EXIT_CODES`: 1 parse error, 2
 simulation error, 3 encoder error, 4 config error (usage errors included),
 5 dataset error, 70 internal error (anything that is not a `QamlError`).
-A file that cannot be read, decoded or written raises the error of its
-role: the program file 1, `--config` and `--out` 4, `--data` 5 and an
-`encode --input` file 3.
 
-Every input, `--data` included, is read by one rule (`encoding._read_text`):
-`-` is stdin, anything else a file path, and the text is UTF-8 with one
-leading byte-order mark dropped. Everything wrong with the `--data` input,
-including a width that needs more qubits than the register ceiling, is a
-dataset error that names the file, or `<stdin>`.
+Every path follows one stream rule (`encoding._stream`): `-` is stdin, or
+stdout for `--out`; input bytes are decoded once as UTF-8 with one leading
+byte-order mark dropped, whatever the locale. A path that fails raises the
+error of its role, naming the file, `<stdin>` or `<stdout>`: the program 1,
+`--config` and `--out` 4, `--input` 3, `--data` 5 (as is any fault in its rows).
 """
 
 from __future__ import annotations
@@ -55,19 +52,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _file_errors(path: str, error):
-    """Raise a failure to read, decode, parse or write `path`, or a register it makes
-    too wide, as `error(message)`, the error group of the file's role."""
+def _file_errors(path: str, error, mode: str = "rb"):
+    """Yield the name of `path` in messages, `-` being `<stdin>` or `<stdout>` by `mode`; raise a
+    failure to read, decode, parse or write it, or a register it makes too wide, as `error`."""
+    name = path if path != "-" else "<stdout>" if "w" in mode else "<stdin>"
     try:
-        yield
+        yield name
     except (OSError, UnicodeError, EncodingError, QubitCountExceeded) as exc:
-        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def _read_text(path: str, error) -> str:
-    """`encoding._read_text(path)`, each failure raised as `error` naming `<stdin>` or the path."""
-    with _file_errors("<stdin>" if path == "-" else path, error):
-        return encoding_mod._read_text(path)
+        raise error(f"{name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -85,8 +77,9 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _parse_file(path: str):
-    text = _read_text(path, functools.partial(ParseError, None, None))
-    return parse(text, "<stdin>" if path == "-" else path)
+    with _file_errors(path, functools.partial(ParseError, None, None)) as name:
+        text = encoding_mod._read_text(path)
+    return parse(text, name)
 
 
 def _state_entries(state: StateVector, threshold: float) -> list[dict]:
@@ -128,7 +121,8 @@ def cmd_encode(args) -> int:
         raise ConfigError(f"--emit-circuit needs --method angle, got --method {args.method}")
     # a CSV file or stdin ("-"), which may start with a header, or one inline row; one row is encoded
     file = args.input == "-" or os.path.isfile(args.input)
-    text = _read_text(args.input, EncodingError) if file else args.input
+    with _file_errors(args.input, EncodingError):
+        text = encoding_mod._read_text(args.input) if file else args.input
     bits = args.method in ("basis", "superposition")
     rows = encoding_mod.read_feature_rows(text, str.strip if bits else float, file)
     cells = rows[0] if rows else []
@@ -157,9 +151,12 @@ def default_ansatz(n_qubits: int) -> hybrid.AnsatzTemplate:
 
 
 def cmd_train(args) -> int:
-    config = hybrid.TrainConfig.from_json(_read_text(args.config, ConfigError))
+    if args.config == args.data == "-":
+        raise ConfigError("--config and --data cannot both read stdin")
+    with _file_errors(args.config, ConfigError):
+        config = hybrid.TrainConfig.from_json(encoding_mod._read_text(args.config))
     spec = encoding_mod.EncodingSpec(args.encoding, args.axis)
-    with _file_errors("<stdin>" if args.data == "-" else args.data, DatasetError):
+    with _file_errors(args.data, DatasetError):
         rows = encoding_mod.load_feature_rows(args.data)
         if not rows:
             raise DatasetError("empty dataset")
@@ -169,9 +166,9 @@ def cmd_train(args) -> int:
         n_qubits = encoding_mod._amplitude_qubits(n_features) if spec.method == "amplitude" else n_features
         template = default_ansatz(n_qubits)
     report = hybrid.train(template, [(row[:-1], row[-1]) for row in rows], spec, config)
-    with _file_errors(args.out, ConfigError), open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
-        handle.write("\n")
+    with _file_errors(args.out, ConfigError, "wb"), encoding_mod._stream(args.out, "wb") as out:
+        out.write(f"{report.to_json()}\n".encode())
+        out.flush()  # stdout is not closed here, so a full disk or closed pipe shows now
     final_loss = report.loss_trace[-1] if report.loss_trace else float("nan")
     print(
         f"final loss {final_loss:.6g} after {report.iterations_run} iterations",

@@ -6,6 +6,7 @@ encoding returns a rotation circuit (one qubit per feature) to be executed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -138,12 +139,17 @@ def read_feature_rows(text: str, cell=float, header: bool = True) -> list[list]:
     return parsed
 
 
-def _read_text(path: str) -> str:
-    """`path`, or stdin for "-", as UTF-8 text without a leading byte-order mark."""
+def _stream(path: str, mode: str = "rb"):
+    """`path` opened in binary `mode`; "-" is stdin, or stdout to write, and is left open."""
     if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, encoding="utf-8-sig") as handle:
-        return handle.read()
+        return contextlib.nullcontext(sys.stdout.buffer if "w" in mode else sys.stdin.buffer)
+    return open(path, mode)
+
+
+def _read_text(path: str) -> str:
+    """The bytes of `_stream(path)` decoded once: UTF-8, one leading byte-order mark dropped."""
+    with _stream(path) as handle:
+        return handle.read().decode("utf-8-sig")
 
 
 def load_feature_rows(path: str) -> list[list[float]]:

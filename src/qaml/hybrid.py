@@ -417,14 +417,14 @@ def train(
     """Gradient-descent training of the ansatz angles against +/-1 labels.
 
     Exact-expectation mode (shots=0) is fully deterministic; sampled mode
-    draws shot noise from the seeded generator. Empty data, a bad label or a
-    sample that cannot be encoded raises a `DatasetError`.
+    draws shot noise from the seeded generator. Empty data, a bad label, a sample
+    that cannot be encoded or rows of different widths raise a `DatasetError`.
     """
     if config.hadamard_layer and encoding.method != "angle":
         raise ConfigError(
             f"hadamard_layer is incompatible with state-preparing encoding {encoding.method!r}"
         )
-    angle, labels, encoded = encoding.method == "angle", [], []
+    angle, labels, encoded, widths = encoding.method == "angle", [], [], []
     for index, row in enumerate(data):
         if not np.iterable(row) or len(pair := tuple(row)) != 2:
             raise DatasetError(f"sample {index}: expected a (features, label) pair, got {row!r}")
@@ -436,6 +436,8 @@ def train(
             encoded.append(_check_features(features).tolist() if angle else _encode_sample(features, encoding))
         except (EncodingError, SimulationError) as exc:
             raise DatasetError(f"sample {index}: {exc}") from exc
+        if encoding.method == "amplitude":  # rows of different widths can pad to one register
+            widths.append(len(features))
 
     if angle:
         _check_widths([len(row) for row in encoded], template.n_qubits)
@@ -444,6 +446,8 @@ def train(
                                labels, config)
     else:
         objective = _Objective.of_loss(template, LossSpec(tuple(encoded), tuple(labels)), config)
+    if ragged := next((i for i, width in enumerate(widths) if width != widths[0]), 0):
+        raise DatasetError(f"sample {ragged}: {widths[ragged]} features, sample 0 has {widths[0]}")
     # angle encoding adds one rotation per qubit, after as many H with the Hadamard layer
     encode_depth = template.n_qubits * (1 + config.hadamard_layer) if angle else 0
 

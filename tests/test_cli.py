@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qaml
 from qaml.cli import main
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure all\n"
@@ -18,6 +22,11 @@ def write_with_bom(path, text):
     """A UTF-8 file that starts with a byte-order mark, as spreadsheet programs save CSV."""
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     return str(path)
+
+
+def set_stdin(monkeypatch, text):
+    """Make `text` the command's stdin as a process gets it: UTF-8 bytes under a text layer."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
 
 
 class TestRun:
@@ -124,7 +133,7 @@ class TestState:
         # `qaml encode --emit-circuit | qaml state -` prints the encoded state
         encode = ["encode", "--method", "angle", "--input", "0.5,1.5"]
         assert main(encode + ["--emit-circuit"]) == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        set_stdin(monkeypatch, capsys.readouterr().out)
         assert main(["state", "-"]) == 0
         from_stdin = capsys.readouterr().out
         assert main(encode) == 0
@@ -135,7 +144,7 @@ class TestState:
         plain = capsys.readouterr().out
         assert main(["state", write_with_bom(tmp_path / "bom.q", BELL)]) == 0
         assert capsys.readouterr().out == plain
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + BELL))
+        set_stdin(monkeypatch, "\ufeff" + BELL)
         assert main(["state", "-"]) == 0
         assert capsys.readouterr().out == plain
 
@@ -255,7 +264,7 @@ class TestEncode:
         assert main(["encode", "--method", "amplitude", "--input", "3,4"]) == 0
         inline = capsys.readouterr().out
         for text in ("3,4\n", "a,b\n3,4\n", "\ufeff3,4\n1,0\n"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            set_stdin(monkeypatch, text)
             assert main(["encode", "--method", "amplitude", "--input", "-"]) == 0
             assert capsys.readouterr().out == inline
 
@@ -389,18 +398,32 @@ class TestTrain:
         reports = []
         for name, source, text in (("file", data, ""), ("stdin", "-", self.FOUR_ROWS),
                                    ("bom", "-", "\ufeff" + self.FOUR_ROWS)):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            set_stdin(monkeypatch, text)
             out = tmp_path / f"{name}.json"
             assert main(["train", "--config", config, "--data", source, "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1] == reports[2]
 
+    def test_config_and_data_cannot_both_read_stdin(self, tmp_path, capsys, monkeypatch):
+        set_stdin(monkeypatch, json.dumps({"max_iterations": 1}))
+        argv = ["train", "--config", "-", "--data", "-", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "config error: --config and --data cannot both read stdin\n"
+        assert sys.stdin.read() == '{"max_iterations": 1}'  # refused before stdin is read
+        assert not (tmp_path / "r.json").exists()
+
+    def test_amplitude_rows_of_different_widths_exit_5(self, tmp_path, capsys):
+        # 4 and 3 features both pad to 2 qubits, so the rows are ragged only as CSV
+        code, out = self.amplitude_report(tmp_path, "padded", "0.1,0.2,0.3,0.5,1\n0.4,0.5,0.7,-1\n")
+        assert code == 5 and not out.exists()
+        assert capsys.readouterr().err == "dataset error: sample 1: 3 features, sample 0 has 4\n"
+
     def test_data_from_stdin_names_stdin(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0.1,0.2,1\n0.3,-1\n"))
+        set_stdin(monkeypatch, "0.1,0.2,1\n0.3,-1\n")
         argv = ["train", "--config", self.config(tmp_path), "--data", "-", "--out", str(tmp_path / "r.json")]
         assert main(argv) == 5
         assert capsys.readouterr().err == "dataset error: sample 1: encoding produced 1 qubits, template has 2\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(",".join(["0.5"] * 25) + ",1\n"))
+        set_stdin(monkeypatch, ",".join(["0.5"] * 25) + ",1\n")
         assert main(argv) == 5
         assert capsys.readouterr().err == "dataset error: <stdin>: 25 qubits exceeds the ceiling of 24\n"
 
@@ -440,3 +463,65 @@ class TestTrain:
         assert main(
             ["train", "--config", str(tmp_path / "nope.json"), "--data", data, "--out", out]
         ) == 4
+
+
+class TestStreams:
+    """`python -m qaml.cli` in its own process, under a C locale and a latin-1 stdio encoding:
+    stdin and `--out -` follow the files' rule, byte for byte."""
+
+    SRC = os.path.dirname(os.path.dirname(qaml.__file__))
+    BAD = b"\xff,1\n"
+    CODEC = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+    def qaml(self, tmp_path, *argv, stdin=b"", stdout=subprocess.PIPE):
+        path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1", "LC_ALL": "C", "PYTHONPATH": path}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a plain shell
+        done = subprocess.run([sys.executable, "-m", "qaml.cli", *argv], input=stdin, stdout=stdout,
+                              stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120)
+        assert b"Traceback" not in done.stderr
+        return done.returncode, done.stdout, done.stderr.decode()
+
+    def test_program_with_byte_order_mark(self, tmp_path):
+        from_file = self.qaml(tmp_path, "state", write(tmp_path / "bell.q", BELL))
+        from_stdin = self.qaml(tmp_path, "state", "-", stdin=b"\xef\xbb\xbf" + BELL.encode())
+        assert from_stdin == from_file and from_file[0] == 0 and from_file[2] == ""
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["state", "{}"], 1, "parse error"),
+            (["train", "--config", "{}", "--data", "data.csv", "--out", "r.json"], 4, "config error"),
+            (["train", "--config", "config.json", "--data", "{}", "--out", "r.json"], 5, "dataset error"),
+            (["encode", "--method", "amplitude", "--input", "{}"], 3, "encoding error"),
+        ],
+        ids=["program", "config", "data", "input"],
+    )
+    def test_undecodable_stdin_is_reported_as_a_file(self, tmp_path, argv, code, prefix):
+        write(tmp_path / "config.json", '{"max_iterations": 1}')
+        write(tmp_path / "data.csv", "0.1,1\n")
+        (tmp_path / "bad.txt").write_bytes(self.BAD)
+        from_file = self.qaml(tmp_path, *(arg.format("bad.txt") for arg in argv))
+        assert from_file == (code, b"", f"{prefix}: bad.txt: {self.CODEC}\n")
+        from_stdin = self.qaml(tmp_path, *(arg.format("-") for arg in argv), stdin=self.BAD)
+        assert from_stdin == (code, b"", f"{prefix}: <stdin>: {self.CODEC}\n")
+
+    def test_out_dash_writes_the_file_bytes(self, tmp_path):
+        write(tmp_path / "config.json", '{"max_iterations": 2}')
+        write(tmp_path / "data.csv", "0.1,0.2,1\n0.9,0.3,-1\n")
+        argv = ["train", "--config", "config.json", "--data", "data.csv", "--out"]
+        code, out, err = self.qaml(tmp_path, *argv, "report.json")
+        assert (code, out) == (0, b"") and err.startswith("final loss ")
+        assert self.qaml(tmp_path, *argv, "-") == (0, (tmp_path / "report.json").read_bytes(), err)
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_out_dash_write_failure_is_a_config_error(self, tmp_path):
+        write(tmp_path / "config.json", '{"max_iterations": 2}')
+        write(tmp_path / "data.csv", "0.1,0.2,1\n0.9,0.3,-1\n")
+        argv = ["train", "--config", "config.json", "--data", "data.csv", "--out", "-"]
+        with open("/dev/full", "wb") as full:
+            _, _, err = self.qaml(tmp_path, *argv, stdout=full)
+        # reported by the command, not by the interpreter's flush at exit after `final loss`
+        assert err.startswith("config error: <stdout>: No space left on device\n")
+        assert "final loss" not in err

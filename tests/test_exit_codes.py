@@ -443,7 +443,7 @@ class TestCli:
 
     @pytest.mark.parametrize("method", ["basis", "superposition", "amplitude"])
     def test_emit_circuit_needs_the_angle_method(self, files, monkeypatch, method):
-        monkeypatch.setattr(cli, "_read_text", None)  # refused before the input is read
+        monkeypatch.setattr(cli.encoding_mod, "_read_text", None)  # refused before the input is read
         argv = ["encode", "--method", method, "--input", files["data"], "--emit-circuit"]
         assert_fails(argv, 4, "config error: --emit-circuit needs --method angle")
 

@@ -1012,6 +1012,26 @@ class TestTrain:
         assert report.loss_trace[0] == loss_value(template, np.zeros(6), loss)
         assert len(report.loss_trace) == 2 and report.circuit_depth == 8
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # 4 and 3 features both pad to 2 qubits, so only the feature count tells them apart
+            ([[0.1, 0.2, 0.3, 0.5], [0.4, 0.5, 0.7]], "sample 1: 3 features, sample 0 has 4"),
+            ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.7], [0.3, 0.4, 0.5, 0.6]], "sample 2: 4 features, sample 0 has 3"),
+        ],
+        ids=["narrower", "wider"],
+    )
+    def test_amplitude_rows_of_different_widths(self, rows, message):
+        data = [(row, 1) for row in rows]
+        config = TrainConfig(max_iterations=1)
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            train(default_ansatz(2), data, EncodingSpec("amplitude"), config)
+        # a bad label in a later row is still found first, and a padded width second
+        with pytest.raises(InvalidLabel, match=f"^sample {len(rows)}: label"):
+            train(default_ansatz(2), data + [([0.1, 0.2], 0)], EncodingSpec("amplitude"), config)
+        with pytest.raises(QubitMismatch, match=f"^sample {len(rows)}: encoding produced 3 qubits"):
+            train(default_ansatz(2), data + [([0.1] * 5, 1)], EncodingSpec("amplitude"), config)
+
     def test_hadamard_layer_rejected_for_amplitude(self):
         with pytest.raises(ConfigError):
             train(
