@@ -1,16 +1,15 @@
 """Command-line front end: run, state, encode, train.
 
 Machine-readable output goes to stdout as JSON; diagnostics go to stderr.
-The commands only raise; `main` turns every error into one stderr line and
-an exit code chosen by its group in `EXIT_CODES`: 1 parse error, 2
-simulation error, 3 encoder error, 4 config error (usage errors included),
-5 dataset error, 70 internal error (anything that is not a `QamlError`).
+The commands only compute and raise. `main` alone picks the exit code: 0, or
+for an error one stderr line and the code of its group in `EXIT_CODES`.
 
 Every path follows one stream rule (`encoding._stream`): `-` is stdin, or
-stdout for `--out`; input bytes are decoded once as UTF-8 with one leading
-byte-order mark dropped, whatever the locale. A path that fails raises the
-error of its role, naming the file, `<stdin>` or `<stdout>`: the program 1,
-`--config` and `--out` 4, `--input` 3, `--data` 5 (as is any fault in its rows).
+stdout to write; input bytes are decoded once as UTF-8 with one leading
+byte-order mark dropped, whatever the locale. One writer, `_write`, writes and
+flushes every output. A path that fails raises the error of its role, naming
+the file, `<stdin>` or `<stdout>`: the program 1, `--config` 4, `--input` 3,
+`--data` 5 (as is any fault in its rows), any write 4 (a closed pipe too).
 """
 
 from __future__ import annotations
@@ -62,6 +61,13 @@ def _file_errors(path: str, error, mode: str = "rb"):
         raise error(f"{name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _write(path: str, *parts: str) -> None:
+    """Write `parts` to `path` (`-` is stdout) and flush them; any failure is a config error."""
+    with _file_errors(path, ConfigError, "w"), encoding_mod._stream(path, "w") as out:
+        out.writelines(parts)
+        out.flush()  # stdout is left open, so a full disk or a closed pipe shows here
+
+
 def _resolve_seed(seed: int | None) -> int:
     """The --seed value, else QAML_SEED, else 0; a 64-bit Philox key."""
     if seed is not None:
@@ -98,25 +104,22 @@ def _state_entries(state: StateVector, threshold: float) -> list[dict]:
     ]
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     shots = circuit_mod._check_shots(args.shots, "--shots")
     seed = _resolve_seed(args.seed)
     histogram = circuit_mod.sample(_parse_file(args.file), shots, seed)
     if args.format == "json":
-        print(histogram.to_json())
+        _write("-", histogram.to_json(), "\n")
     else:
-        for key in sorted(histogram.counts):
-            print(f"{key}  {histogram.counts[key]}")
-    return 0
+        _write("-", *(f"{key}  {histogram.counts[key]}\n" for key in sorted(histogram.counts)))
 
 
-def cmd_state(args) -> int:
+def cmd_state(args) -> None:
     state = circuit_mod.execute(_parse_file(args.file))
-    print(json.dumps(_state_entries(state, args.threshold), sort_keys=True))
-    return 0
+    _write("-", json.dumps(_state_entries(state, args.threshold), sort_keys=True), "\n")
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     if args.emit_circuit and args.method != "angle":
         raise ConfigError(f"--emit-circuit needs --method angle, got --method {args.method}")
     # a CSV file or stdin ("-"), which may start with a header, or one inline row; one row is encoded
@@ -135,11 +138,10 @@ def cmd_encode(args) -> int:
     else:  # angle
         circ = encoding_mod.encode_angle(cells, args.axis)
         if args.emit_circuit:
-            sys.stdout.write(to_dsl(circ))
-            return 0
+            _write("-", to_dsl(circ))
+            return
         state = circuit_mod.execute(circ)
-    print(json.dumps(_state_entries(state, args.threshold), sort_keys=True))
-    return 0
+    _write("-", json.dumps(_state_entries(state, args.threshold), sort_keys=True), "\n")
 
 
 def default_ansatz(n_qubits: int) -> hybrid.AnsatzTemplate:
@@ -150,7 +152,7 @@ def default_ansatz(n_qubits: int) -> hybrid.AnsatzTemplate:
     return hybrid.AnsatzTemplate(n_qubits, tuple(ops), 2 * n_qubits)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     if args.config == args.data == "-":
         raise ConfigError("--config and --data cannot both read stdin")
     with _file_errors(args.config, ConfigError):
@@ -166,15 +168,9 @@ def cmd_train(args) -> int:
         n_qubits = encoding_mod._amplitude_qubits(n_features) if spec.method == "amplitude" else n_features
         template = default_ansatz(n_qubits)
     report = hybrid.train(template, [(row[:-1], row[-1]) for row in rows], spec, config)
-    with _file_errors(args.out, ConfigError, "wb"), encoding_mod._stream(args.out, "wb") as out:
-        out.write(f"{report.to_json()}\n".encode())
-        out.flush()  # stdout is not closed here, so a full disk or closed pipe shows now
+    _write(args.out, report.to_json(), "\n")
     final_loss = report.loss_trace[-1] if report.loss_trace else float("nan")
-    print(
-        f"final loss {final_loss:.6g} after {report.iterations_run} iterations",
-        file=sys.stderr,
-    )
-    return 0
+    print(f"final loss {final_loss:.6g} after {report.iterations_run} iterations", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code. Every error ends here as
-    one stderr line; `--help` exits 0 through argparse."""
+    """Run one command and return its exit code, the only place one is chosen.
+    Every error ends here as one stderr line; `--help` exits 0 through argparse."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except Exception as exc:
         code, prefix = next((c, p) for group, c, p in EXIT_CODES if isinstance(exc, group))
         if isinstance(exc, ParseError) and exc.line is not None:
@@ -229,10 +225,15 @@ def main(argv=None) -> int:
             line = f"{prefix}: {exc if isinstance(exc, QamlError) else repr(exc)}"
         print(" ".join(line.splitlines()), file=sys.stderr)
         return code
+    return 0
 
 
 def entry_point():
-    sys.exit(main())
+    code = main()
+    # `_write` flushed all output, so only a failed write's rest is dropped ("Note on SIGPIPE")
+    with contextlib.suppress(AttributeError, OSError):  # stdout None, or without a fileno
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

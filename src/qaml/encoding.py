@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -140,10 +142,13 @@ def read_feature_rows(text: str, cell=float, header: bool = True) -> list[list]:
 
 
 def _stream(path: str, mode: str = "rb"):
-    """`path` opened in binary `mode`; "-" is stdin, or stdout to write, and is left open."""
-    if path == "-":
-        return contextlib.nullcontext(sys.stdout.buffer if "w" in mode else sys.stdin.buffer)
-    return open(path, mode)
+    """`path` opened in `mode`, "-" left open: stdout is text; stdin and files are read as bytes."""
+    if path != "-":
+        return open(path, mode)
+    stream = sys.stdout if "w" in mode else sys.stdin and sys.stdin.buffer
+    if stream is None:  # closed when the process started (`>&-`, `<&-`)
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return contextlib.nullcontext(stream)
 
 
 def _read_text(path: str) -> str:

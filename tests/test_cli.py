@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -464,6 +465,16 @@ class TestTrain:
             ["train", "--config", str(tmp_path / "nope.json"), "--data", data, "--out", out]
         ) == 4
 
+    def test_out_dash_in_process_writes_the_file_bytes(self, tmp_path):
+        """`--out -` writes through whatever `sys.stdout` is, as every command's stdout does."""
+        config = write(tmp_path / "config.json", '{"max_iterations": 2}')
+        data = write(tmp_path / "data.csv", self.FOUR_ROWS)
+        argv = ["train", "--config", config, "--data", data, "--out"]
+        assert main([*argv, str(tmp_path / "report.json")]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
+            assert main([*argv, "-"]) == 0
+        assert captured.getvalue().encode() == (tmp_path / "report.json").read_bytes()
+
 
 class TestStreams:
     """`python -m qaml.cli` in its own process, under a C locale and a latin-1 stdio encoding:
@@ -473,12 +484,16 @@ class TestStreams:
     BAD = b"\xff,1\n"
     CODEC = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
-    def qaml(self, tmp_path, *argv, stdin=b"", stdout=subprocess.PIPE):
+    def qaml(self, tmp_path, *argv, stdin=b"", stdout=subprocess.PIPE, unbuffered=False, **popen):
+        """The exit code, stdout and stderr of one command; `stdin=None` inherits the test's stdin,
+        and `popen` goes to `subprocess.run`."""
         path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONIOENCODING": "latin-1", "LC_ALL": "C", "PYTHONPATH": path}
         env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a plain shell
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         done = subprocess.run([sys.executable, "-m", "qaml.cli", *argv], input=stdin, stdout=stdout,
-                              stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120)
+                              stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120, **popen)
         assert b"Traceback" not in done.stderr
         return done.returncode, done.stdout, done.stderr.decode()
 
@@ -520,8 +535,70 @@ class TestStreams:
         write(tmp_path / "config.json", '{"max_iterations": 2}')
         write(tmp_path / "data.csv", "0.1,0.2,1\n0.9,0.3,-1\n")
         argv = ["train", "--config", "config.json", "--data", "data.csv", "--out", "-"]
+        for unbuffered in (False, True):
+            with open("/dev/full", "wb") as full:
+                code, _, err = self.qaml(tmp_path, *argv, stdout=full, unbuffered=unbuffered)
+            # reported by the command, before `final loss`, and not again by the exit flush
+            assert (code, err) == (4, "config error: <stdout>: No space left on device\n")
+
+    # every command that writes to stdout, each with a small output
+    WRITERS = {
+        "run": ["run", "bell.q", "--shots", "8"],
+        "run-text": ["run", "bell.q", "--shots", "8", "--format", "text"],
+        "state": ["state", "bell.q"],
+        "encode": ["encode", "--method", "amplitude", "--input", "0.6,0.8"],
+        "emit-circuit": ["encode", "--method", "angle", "--input", "0.1,0.2", "--emit-circuit"],
+        "train": ["train", "--config", "config.json", "--data", "data.csv", "--out", "-"],
+    }
+
+    def writer_argv(self, tmp_path, name):
+        write(tmp_path / "bell.q", BELL)
+        write(tmp_path / "config.json", '{"max_iterations": 2}')
+        write(tmp_path / "data.csv", "0.1,0.2,1\n0.9,0.3,-1\n")
+        return self.WRITERS[name]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("name", [name for name in WRITERS if name != "train"])  # train's: above
+    def test_full_stdout_is_a_config_error(self, tmp_path, name, unbuffered):
+        argv = self.writer_argv(tmp_path, name)
         with open("/dev/full", "wb") as full:
-            _, _, err = self.qaml(tmp_path, *argv, stdout=full)
-        # reported by the command, not by the interpreter's flush at exit after `final loss`
-        assert err.startswith("config error: <stdout>: No space left on device\n")
-        assert "final loss" not in err
+            done = self.qaml(tmp_path, *argv, stdout=full, unbuffered=unbuffered)
+        assert done == (4, None, "config error: <stdout>: No space left on device\n")
+
+    @pytest.mark.parametrize("name", list(WRITERS))
+    def test_closed_stdout_is_a_config_error(self, tmp_path, name):
+        """Started with fd 1 closed (`>&-`), so that `sys.stdout` is None."""
+        argv = self.writer_argv(tmp_path, name)
+        done = self.qaml(tmp_path, *argv, stdout=None, preexec_fn=lambda: os.close(1))
+        assert done == (4, None, "config error: <stdout>: Bad file descriptor\n")
+
+    def test_closed_stdin_is_reported_as_a_file(self, tmp_path):
+        done = self.qaml(tmp_path, "state", "-", stdin=None, preexec_fn=lambda: os.close(0))
+        assert done == (1, b"", "parse error: <stdin>: Bad file descriptor\n")
+
+    def test_closed_pipe_is_a_config_error(self, tmp_path):
+        """A reader that stops after 10 bytes of a 2^16-entry state closes the pipe mid-write."""
+        program = write(tmp_path / "h16.q", "qubits 16\n" + "".join(f"h {q}\n" for q in range(16)))
+        head = [sys.executable, "-c", "import sys; assert len(sys.stdin.buffer.read(10)) == 10"]
+        with subprocess.Popen(head, stdin=subprocess.PIPE) as reader:
+            done = self.qaml(tmp_path, "state", program, "--threshold", "0", stdout=reader.stdin)
+        assert reader.returncode == 0
+        assert done == (4, None, "config error: <stdout>: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["encode", "--method", "basis", "--input", "012"], 3,
+             "encoding error: expected a non-empty bitstring of 0s and 1s, got '012'\n"),
+            (["state", "wide.q"], 2, "simulation error: 40 qubits exceeds the ceiling of 24\n"),
+            (["state", "missing.q"], 1, "parse error: missing.q: No such file or directory\n"),
+        ],
+        ids=["encoder", "simulation", "program"],
+    )
+    def test_command_faults_keep_their_codes_on_a_full_stdout(self, tmp_path, argv, code, line):
+        """Only a write takes the write role: a fault of the command exits with its own code."""
+        write(tmp_path / "wide.q", "qubits 40\n")
+        with open("/dev/full", "wb") as full:
+            assert self.qaml(tmp_path, *argv, stdout=full) == (code, None, line)
